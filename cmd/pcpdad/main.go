@@ -37,7 +37,6 @@ import (
 	"pcpda/internal/metrics"
 	"pcpda/internal/rtm"
 	"pcpda/internal/server"
-	"pcpda/internal/wire"
 	"pcpda/internal/workload"
 )
 
@@ -56,7 +55,6 @@ func run() int {
 		shards       = flag.Int("shards", 0, "admission shards with work stealing (0 = scale with GOMAXPROCS)")
 		inflight     = flag.Int("inflight", 0, "max unflushed responses per pipelined session (0 = default)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent sessions; excess connections are refused at accept with a retryable busy error (0 = unlimited)")
-		wireV2       = flag.Bool("wire-v2", false, "pin the wire protocol to v2: refuse tagged frames, force strict clients")
 		idleTimeout  = flag.Duration("idle-timeout", 30*time.Second, "per-session read deadline")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline (slow-client kill threshold)")
 		wdInterval   = flag.Duration("watchdog-interval", 100*time.Millisecond, "stuck-transaction watchdog sweep interval (negative = disabled)")
@@ -101,19 +99,14 @@ func run() int {
 		log.Printf("pcpdad: manager: %v", err)
 		return 2
 	}
-	maxWire := wire.Version
-	if *wireV2 {
-		maxWire = wire.V2
-	}
 	ctr := &metrics.ServerCounters{}
 	srv, err := server.New(server.Config{
 		Manager: mgr, Counters: ctr,
 		QueueDepth: *queueDepth, HighWater: *highWater,
 		BatchMax: *batchMax, MaxAdmitting: *admitting,
 		AdmitShards: *shards, SessionInflight: *inflight,
-		MaxConns:       *maxConns,
-		MaxWireVersion: maxWire,
-		IdleTimeout:    *idleTimeout, WriteTimeout: *writeTimeout,
+		MaxConns:    *maxConns,
+		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 		WatchdogInterval: *wdInterval, WatchdogGrace: *wdGrace,
 		StuckTxnAge: *stuckAge, HealthWindow: *healthWindow,
 		Logf: log.Printf,
@@ -122,6 +115,11 @@ func run() int {
 		log.Printf("pcpdad: %v", err)
 		return 2
 	}
+	// The handler goes in before the listener binds: from the moment a
+	// client can connect, SIGTERM means drain and audit, never the default
+	// kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Printf("pcpdad: listen: %v", err)
@@ -138,8 +136,6 @@ func run() int {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		log.Printf("pcpdad: %s: draining (grace %v)", sig, *drainTimeout)

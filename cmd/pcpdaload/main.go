@@ -17,13 +17,12 @@
 //     Sweep mode calibrates both client modes so the document always
 //     records the pipelining speedup.
 //
-// -pipeline switches the driver to the wire-v3 pipelined client: each
-// transaction is flushed as one tagged burst (BEGIN+steps+COMMIT) and
-// responses demultiplex by tag, with up to -window requests in flight
-// per connection. Against a v2-pinned server the client degrades to
-// strict request/response transparently.
+// Without -pipeline every connection keeps one request in flight (strict
+// request/response: one round trip per frame). -pipeline raises that to
+// -window requests per connection: each transaction is flushed as one
+// tagged burst (BEGIN+steps+COMMIT) and responses demultiplex by tag.
 //
-// -read-frac f (requires -pipeline) runs that fraction of transactions as
+// -read-frac f runs that fraction of transactions as
 // declared read-only snapshot transactions: BEGIN(read-only) bypasses
 // admission server-side and the reads execute lock-free against the
 // version chains. With -stats (pcpdad's HTTP base URL) a 100%-read proof
@@ -84,8 +83,8 @@ func run() int {
 		attempts = flag.Int("attempts", 16, "max attempts per transaction")
 		label    = flag.String("label", "current", "label recorded in the sweep document")
 
-		pipeline  = flag.Bool("pipeline", false, "use the wire-v3 pipelined client (whole transactions flushed as one tagged burst)")
-		readFrac  = flag.Float64("read-frac", 0, "fraction of transactions issued as declared read-only snapshot transactions (requires -pipeline and a wire-v4 server)")
+		pipeline  = flag.Bool("pipeline", false, "keep -window requests in flight per connection (whole transactions flushed as one tagged burst); off = strict request/response")
+		readFrac  = flag.Float64("read-frac", 0, "fraction of transactions issued as declared read-only snapshot transactions")
 		statsURL  = flag.String("stats", "", "pcpdad stats HTTP base URL (e.g. http://127.0.0.1:9724); with -read-frac > 0, brackets a 100%-read proof phase asserting zero lock/mutex traffic")
 		window    = flag.Int("window", 0, "pipelined: max tagged requests in flight per connection (0 = default)")
 		spinUnder = flag.Duration("spin-under", 0, "open loop: spin instead of sleeping for the last stretch of each inter-arrival gap (0 = default; on coarse-timer hosts the default 10ms keeps offered rate honest)")
@@ -247,9 +246,9 @@ func logProxy(p *nemesis.Proxy) {
 type sweepStep struct {
 	Multiplier   float64 `json:"multiplier"`
 	ArrivalRate  float64 `json:"arrival_rate"`
-	AchievedRate float64 `json:"achieved_rate"` // what the pacer actually delivered
-	Nemesis      bool    `json:"nemesis"`       // step ran through the fault proxy
-	Pipelined    bool    `json:"pipelined"`     // step used the wire-v3 pipelined client
+	AchievedRate float64 `json:"achieved_rate"`       // what the pacer actually delivered
+	Nemesis      bool    `json:"nemesis"`             // step ran through the fault proxy
+	Pipelined    bool    `json:"pipelined"`           // step used the pipelined client (window > 1)
 	ReadFrac     float64 `json:"read_frac,omitempty"` // fraction of arrivals run as read-only snapshots
 
 	Offered     int64 `json:"offered"`
@@ -294,17 +293,17 @@ type sweepDoc struct {
 	DeadlineMs   float64        `json:"deadline_budget_ms"`
 	// SaturationTPS is the strict (one request/response in flight) closed-
 	// loop rate; PipelinedSaturationTPS is the same burst with whole
-	// transactions flushed as tagged wire-v3 bursts. Speedup is their
-	// ratio — the headline number for the pipelined protocol.
+	// transactions flushed as tagged bursts. Speedup is their ratio — the
+	// headline number for the pipelined protocol.
 	SaturationTPS          float64 `json:"saturation_txn_s"`
 	PipelinedSaturationTPS float64 `json:"pipelined_saturation_txn_s"`
 	Speedup                float64 `json:"pipelined_speedup"`
 	Pipelined              bool    `json:"pipelined"` // open-loop steps used the pipelined client
-	// ReadFrac > 0 adds a third calibrated mode: the pipelined client with
-	// that fraction of transactions run as declared read-only snapshots.
-	// MixedSaturationTPS against PipelinedSaturationTPS is the headline
-	// read-path number (same build, same connection count, only the mix
-	// differs); ROSpeedup is their ratio.
+	// ReadFrac > 0 adds a third calibrated mode: the run's client mode
+	// with that fraction of transactions run as declared read-only
+	// snapshots. MixedSaturationTPS against the same mode's write-only
+	// saturation is the headline read-path number (same build, same
+	// connection count, only the mix differs); ROSpeedup is their ratio.
 	ReadFrac           float64     `json:"read_frac,omitempty"`
 	MixedSaturationTPS float64     `json:"mixed_saturation_txn_s,omitempty"`
 	ROSpeedup          float64     `json:"ro_speedup,omitempty"`
@@ -326,10 +325,6 @@ func runSweep(ctx context.Context, base client.LoadConfig, spec, label, out stri
 		log.Printf("pcpdaload: -sweep requires -deadline-budget (goodput needs a deadline)")
 		return 1
 	}
-	if base.ReadFrac > 0 && !base.Pipelined {
-		log.Printf("pcpdaload: -read-frac requires -pipeline")
-		return 1
-	}
 
 	// Calibration: closed-loop bursts over the direct path measure what
 	// the system can absorb. Both client modes are calibrated every time
@@ -337,7 +332,8 @@ func runSweep(ctx context.Context, base client.LoadConfig, spec, label, out stri
 	// multipliers then step off the rate of the mode the steps will use.
 	// Strict and pipelined calibrations are always write-only so the
 	// write-path numbers stay comparable across builds; -read-frac adds a
-	// third calibrated mode, pipelined with the requested read mix.
+	// third calibrated mode, the run's client mode with the requested read
+	// mix.
 	type runMode struct {
 		name      string
 		pipelined bool
@@ -369,17 +365,19 @@ func runSweep(ctx context.Context, base client.LoadConfig, spec, label, out stri
 	// fields), each stepping off its own mode's saturation so a 2x step
 	// means 2x of what that client can absorb.
 	modes := []*runMode{strict}
-	var mixed *runMode
+	writeOnly := strict // the mixed mode's write-only counterpart
 	if base.Pipelined {
 		modes = append(modes, pipe)
-		if base.ReadFrac > 0 {
-			mixed = &runMode{name: fmt.Sprintf("mixed(%.0f%% read)", base.ReadFrac*100),
-				pipelined: true, readFrac: base.ReadFrac}
-			if !calibrate(mixed) {
-				return 1
-			}
-			modes = append(modes, mixed)
+		writeOnly = pipe
+	}
+	var mixed *runMode
+	if base.ReadFrac > 0 {
+		mixed = &runMode{name: fmt.Sprintf("mixed(%.0f%% read)", base.ReadFrac*100),
+			pipelined: base.Pipelined, readFrac: base.ReadFrac}
+		if !calibrate(mixed) {
+			return 1
 		}
+		modes = append(modes, mixed)
 	}
 
 	doc := &sweepDoc{
@@ -395,7 +393,7 @@ func runSweep(ctx context.Context, base client.LoadConfig, spec, label, out stri
 	if mixed != nil {
 		doc.ReadFrac = base.ReadFrac
 		doc.MixedSaturationTPS = mixed.sat
-		doc.ROSpeedup = mixed.sat / pipe.sat
+		doc.ROSpeedup = mixed.sat / writeOnly.sat
 	}
 	for _, m := range mults {
 		variants := []bool{false}
@@ -428,8 +426,8 @@ func runSweep(ctx context.Context, base client.LoadConfig, spec, label, out stri
 					Multiplier: m, ArrivalRate: step.ArrivalRate,
 					AchievedRate: rep.AchievedRate,
 					Nemesis:      faulted, Pipelined: step.Pipelined,
-					ReadFrac:     step.ReadFrac,
-					Offered:      rep.Offered, Overrun: rep.Overrun,
+					ReadFrac: step.ReadFrac,
+					Offered:  rep.Offered, Overrun: rep.Overrun,
 					Committed: rep.Committed, ROCommitted: rep.ROCommitted,
 					OnTime: rep.OnTime,
 					Shed:   rep.Shed, Infeasible: rep.Infeasible, Failed: rep.Failed,
@@ -543,7 +541,6 @@ func runROProof(ctx context.Context, base client.LoadConfig, statsURL string) (*
 	}
 	cfg := base
 	cfg.ArrivalRate = 0
-	cfg.Pipelined = true
 	cfg.ReadFrac = 1
 	cfg.RetryBudget = nil
 	if cfg.Txns > 5000 {

@@ -39,43 +39,46 @@ func TestRetryBudgetCapsRetryRatio(t *testing.T) {
 }
 
 func TestClientStopsAtExhaustedBudget(t *testing.T) {
-	// Budget with zero headroom: the first retry is refused, so Do makes
+	// Budget with zero headroom: the first retry is refused, so DoTxn makes
 	// exactly one attempt even though MaxAttempts allows eight.
 	b := NewRetryBudget(0.01, 1)
 	if !b.take() {
 		t.Fatal("priming take failed")
 	}
-	begins := 0
-	var sawShed int64
+	var begins atomic.Int64
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for {
-			if _, _, err := wire.ReadFrame(conn, nil); err != nil {
+			m, tag, ok := recv(conn)
+			if !ok {
 				return
 			}
-			begins++
-			send(t, conn, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
+			if _, isBegin := m.(*wire.Begin); !isBegin {
+				send(t, conn, tag, outsideTxn)
+				continue
+			}
+			begins.Add(1)
+			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
 		}
 	})
-	pool := NewPool(addr, 2*time.Second, 1)
-	defer pool.Close()
-	cl := NewClient(pool, 1)
-	cl.Budget = b
+	pc := NewPipeClient(addr, 2*time.Second, 1, 1)
+	defer pc.Close()
+	pc.Budget = b
 	var retries atomic.Int64
-	cl.Retries = &retries
-	cl.CodeHook = func(code wire.ErrorCode) {
+	pc.Retries = &retries
+	var sawShed int64
+	pc.CodeHook = func(code wire.ErrorCode) {
 		if code == wire.CodeShed {
 			sawShed++
 		}
 	}
 
-	err := cl.Do("T1", func(c *Conn) error { return nil })
+	err := pc.DoTxn("T1", 0, nil)
 	if err == nil {
-		t.Fatal("Do succeeded against an always-shedding server")
+		t.Fatal("DoTxn succeeded against an always-shedding server")
 	}
-	if begins != 1 || retries.Load() != 0 {
-		t.Fatalf("begins = %d retries = %d, want 1/0 (budget must refuse before the sleep)", begins, retries.Load())
+	if begins.Load() != 1 || retries.Load() != 0 {
+		t.Fatalf("begins = %d retries = %d, want 1/0 (budget must refuse before the sleep)", begins.Load(), retries.Load())
 	}
 	if sawShed != 1 {
 		t.Fatalf("CodeHook saw %d sheds, want 1", sawShed)

@@ -31,8 +31,8 @@ import (
 type LoadConfig struct {
 	// Addr is the server to drive.
 	Addr string
-	// Conns is the number of concurrent workers (each owns a connection
-	// pool of one). Default 8.
+	// Conns is the number of concurrent workers (each owns one
+	// connection). Default 8.
 	Conns int
 	// Txns is the closed-loop committed-transaction target. Default 1000.
 	// Ignored in open-loop mode.
@@ -44,15 +44,15 @@ type LoadConfig struct {
 	OpTimeout time.Duration
 	// MaxAttempts bounds retries per transaction. Default 16 — load
 	// generation under deliberate overload needs more patience than the
-	// Client default.
+	// PipeClient default.
 	MaxAttempts int
-	// Pipelined switches every worker from strict request/reply to the
-	// wire-v3 pipelined client: each transaction is one flushed burst
-	// (BEGIN+steps+COMMIT) instead of one round trip per frame. Falls back
-	// to strict automatically against a server that pins wire v2.
+	// Pipelined gives every worker a connection with Window requests in
+	// flight: each transaction is one flushed burst (BEGIN+steps+COMMIT)
+	// instead of one round trip per frame. Off, every connection has a
+	// window of 1 — strict request/reply.
 	Pipelined bool
 	// Window bounds requests in flight per pipelined connection.
-	// Default 32.
+	// Default 32. Without Pipelined it is always 1.
 	Window int
 	// SpinUnder is the open-loop pacing threshold: inter-arrival gaps
 	// shorter than this are paced by a yield-spin instead of the sleeper
@@ -64,8 +64,7 @@ type LoadConfig struct {
 	// ReadFrac is the fraction of transactions issued as declared
 	// read-only snapshot transactions (lock-free server-side, admission
 	// bypassed). Each reads 1–4 random items from the schema's item
-	// space. Requires Pipelined and a server speaking wire v4. 0 = all
-	// updates.
+	// space. 0 = all updates.
 	ReadFrac float64
 
 	// ArrivalRate switches to open loop: mean arrivals per second of the
@@ -106,7 +105,7 @@ type LoadConfig struct {
 	PickTemplate func(rng *rand.Rand, frac float64) int
 	// ReadFracAt, when non-nil, overrides ReadFrac per open-loop arrival
 	// as a function of the arrival's fraction through the window — a
-	// read-mix shift inside one run. Requires Pipelined, like ReadFrac.
+	// read-mix shift inside one run.
 	ReadFracAt func(frac float64) float64
 	// SeriesBuckets, when > 0, splits the open-loop arrival window into
 	// this many equal time buckets and reports per-bucket commit counts
@@ -245,7 +244,9 @@ func (cfg *LoadConfig) fill() {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4 * cfg.Conns
 	}
-	if cfg.Window <= 0 {
+	if !cfg.Pipelined {
+		cfg.Window = 1 // strict request/reply
+	} else if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
 	if cfg.SpinUnder <= 0 {
@@ -271,7 +272,7 @@ func (cfg *LoadConfig) fill() {
 // report and ctx's error) if ctx is cancelled.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	cfg.fill()
-	probe, err := Dial(cfg.Addr, cfg.OpTimeout)
+	probe, err := DialPipelined(cfg.Addr, cfg.OpTimeout, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -280,13 +281,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if len(schema.Templates) == 0 {
 		return nil, errors.New("client: server exports no transaction types")
 	}
-	if cfg.ReadFrac > 0 || cfg.ReadFracAt != nil {
-		if !cfg.Pipelined {
-			return nil, errors.New("client: ReadFrac requires Pipelined (read-only bursts are wire v4 tagged frames)")
-		}
-		if len(schemaItems(schema)) == 0 {
-			return nil, errors.New("client: ReadFrac set but the schema declares no items")
-		}
+	if (cfg.ReadFrac > 0 || cfg.ReadFracAt != nil) && len(schemaItems(schema)) == 0 {
+		return nil, errors.New("client: ReadFrac set but the schema declares no items")
 	}
 	if cfg.ArrivalRate > 0 {
 		return runOpenLoop(ctx, cfg, schema)
@@ -308,11 +304,7 @@ func runClosedLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if cfg.Pipelined {
-				errs[w] = pipelinedWorker(ctx, cfg, schema, tiers, int64(w), &remaining, cnt, &lats[w])
-			} else {
-				errs[w] = loadWorker(ctx, cfg, schema, tiers, int64(w), &remaining, cnt, &lats[w])
-			}
+			errs[w] = closedWorker(ctx, cfg, schema, tiers, int64(w), &remaining, cnt, &lats[w])
 		}(w)
 	}
 	wg.Wait()
@@ -325,111 +317,30 @@ func runClosedLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*
 	return rep, ctx.Err()
 }
 
-// loadRunner is one worker's transaction driver — strict request/reply or
-// pipelined bursts, behind the same do() shape — with the shared retry
-// policy wired to the run's counters.
-type loadRunner struct {
-	do    func(tmpl wire.TemplateInfo, budget time.Duration) error
-	doRO  func(items []uint32) error // nil in strict mode (read-only bursts need wire v4)
-	close func()
-}
-
-func newLoadRunner(cfg LoadConfig, cnt *loadCounters, id int64, rng *rand.Rand,
-	hook func(wire.ErrorCode)) loadRunner {
-	if cfg.Pipelined {
-		pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
-		pc.MaxAttempts = cfg.MaxAttempts
-		pc.Retries = &cnt.retries
-		pc.Budget = cfg.RetryBudget
-		pc.CodeHook = hook
-		return loadRunner{
-			do: func(tmpl wire.TemplateInfo, budget time.Duration) error {
-				return pc.DoTxn(tmpl.Name, budget, pipelineSteps(tmpl, rng))
-			},
-			doRO:  pc.DoReadTxn,
-			close: pc.Close,
-		}
-	}
-	pool := NewPool(cfg.Addr, cfg.OpTimeout, 1)
-	cl := NewClient(pool, cfg.Seed^id)
-	cl.MaxAttempts = cfg.MaxAttempts
-	cl.Retries = &cnt.retries
-	cl.Budget = cfg.RetryBudget
-	cl.CodeHook = hook
-	return loadRunner{
-		do: func(tmpl wire.TemplateInfo, budget time.Duration) error {
-			return cl.DoDeadline(tmpl.Name, budget, runSteps(tmpl, rng))
-		},
-		close: pool.Close,
-	}
-}
-
-// loadWorker is one closed-loop connection: claim a transaction from the
-// shared budget, run it to commit (retrying retryable failures), record
-// the latency, repeat.
-func loadWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
-	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
-	rng := rand.New(rand.NewSource(cfg.Seed + id))
-	var curTier *tierCounters
-	r := newLoadRunner(cfg, cnt, id, rng, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
-	defer r.close()
-
-	for remaining.Add(-1) >= 0 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		tmpl := pickTemplate(&cfg, schema, rng, 0)
-		curTier = tiers.of(tmpl.Priority)
-		curTier.offered.Add(1)
-		begin := time.Now()
-		err := r.do(tmpl, 0)
-		cnt.attempts.Add(1)
-		if err != nil {
-			cnt.failed.Add(1)
-			var remote *wire.RemoteError
-			if ctx.Err() != nil {
-				return nil
-			}
-			// Draining and cancellation are orderly shutdown, not failures
-			// worth killing the run over; anything else is.
-			if errors.As(err, &remote) &&
-				(remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled) {
-				return nil
-			}
-			if errors.As(err, &remote) && remote.Code.Retryable() {
-				// Return the budget entry so the run still reaches its
-				// committed-transaction target despite the abandonment.
-				remaining.Add(1)
-				continue
-			}
-			return fmt.Errorf("client: worker %d: %w", id, err)
-		}
-		cnt.committed.Add(1)
-		curTier.committed.Add(1)
-		curTier.onTime.Add(1) // no deadline budget in the closed loop
-		*lats = append(*lats, time.Since(begin))
-	}
-	return nil
-}
-
-// pipelinedWorker is the closed-loop worker in pipelined mode. Where
-// loadWorker runs one transaction at a time, this keeps a bounded queue
-// of whole-transaction bursts in flight on one connection — the server
-// executes bursts in arrival order, so back-to-back transactions overlap
-// on the wire without changing their serialization. The common case costs
-// one write and zero waits per transaction; failures fall back to the
-// shared retry policy, synchronously, so overload behaves exactly like
-// the strict worker (budgeted retries, counted sheds, orderly stop on
-// drain).
-func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
-	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
-	rng := rand.New(rand.NewSource(cfg.Seed + id))
-	var curTier *tierCounters
+// newPipeClient builds worker id's retrying client, wired to the run's
+// counters.
+func newPipeClient(cfg LoadConfig, cnt *loadCounters, id int64, hook func(wire.ErrorCode)) *PipeClient {
 	pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
 	pc.MaxAttempts = cfg.MaxAttempts
 	pc.Retries = &cnt.retries
 	pc.Budget = cfg.RetryBudget
-	pc.CodeHook = func(code wire.ErrorCode) { countCode(cnt, curTier, code) }
+	pc.CodeHook = hook
+	return pc
+}
+
+// closedWorker is one closed-loop connection. It keeps a bounded queue of
+// whole-transaction bursts in flight — a quarter of the request window, so
+// one at a time when strict (window 1) — and the server executes bursts in
+// arrival order, so back-to-back transactions overlap on the wire without
+// changing their serialization. The common case costs one write and zero
+// waits per transaction; a failed burst continues the shared retry policy's
+// chain synchronously (budgeted, backed-off retries, counted sheds,
+// orderly stop on drain).
+func closedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
+	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
+	rng := rand.New(rand.NewSource(cfg.Seed + id))
+	var curTier *tierCounters
+	pc := newPipeClient(cfg, cnt, id, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
 	defer pc.Close()
 
 	roItems := schemaItems(schema)
@@ -438,7 +349,8 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		tmpl  wire.TemplateInfo
 		tier  *tierCounters // nil for read-only bursts
 		ro    bool
-		items []uint32 // read-only: the snapshot read set, for the retry path
+		items []uint32       // read-only: the snapshot read set, for the retry path
+		steps []wire.Message // update: the burst's steps, for the retry path
 		begin time.Time
 		fut   *TxnFuture
 	}
@@ -475,7 +387,7 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 			if ctx.Err() != nil {
 				return errStop
 			}
-			return err // transport or desync: fatal, as in loadWorker
+			return err // transport or desync: fatal
 		}
 		countCode(cnt, t.tier, remote.Code)
 		switch {
@@ -484,19 +396,13 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		case !remote.Code.Retryable():
 			return err
 		}
-		// The burst was attempt one; hand the rest of the chain to DoTxn
-		// under the shared budget.
-		if cfg.RetryBudget != nil && !cfg.RetryBudget.take() {
-			cnt.failed.Add(1)
-			remaining.Add(1)
-			return nil
-		}
-		cnt.retries.Add(1)
+		// The burst was attempt one; the policy runs the rest of the chain
+		// (budget, backoff, retry count) as DoTxn would have.
 		curTier = t.tier // nil for read-only: countCode skips tier tallies
 		if t.ro {
-			err = pc.DoReadTxn(t.items)
+			err = pc.resume("read-only", 1, err, func() error { return pc.attemptRead(t.items) })
 		} else {
-			err = pc.DoTxn(t.tmpl.Name, 0, pipelineSteps(t.tmpl, rng))
+			err = pc.resume(t.tmpl.Name, 1, err, func() error { return pc.attempt(t.tmpl.Name, 0, t.steps) })
 		}
 		if err == nil {
 			account(t)
@@ -542,10 +448,11 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		if err != nil {
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		if ro && c.Pipelined() {
+		if ro {
 			// Declared read-only snapshot burst: BEGIN(read-only) + reads +
 			// COMMIT, one tagged write, no admission wait server-side.
 			its := roPick(rng, roItems)
+			begin := time.Now()
 			fut, err := c.SubmitReadTxn(its)
 			if err != nil {
 				if dErr := drain(); dErr != nil {
@@ -559,7 +466,7 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 				}
 				return fmt.Errorf("client: worker %d: %w", id, err)
 			}
-			queue = append(queue, inflight{ro: true, items: its, begin: time.Now(), fut: fut})
+			queue = append(queue, inflight{ro: true, items: its, begin: begin, fut: fut})
 			if len(queue) >= depth {
 				t := queue[0]
 				queue = queue[1:]
@@ -572,42 +479,9 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 			}
 			continue
 		}
-		if ro {
-			// v2-pinned server cannot run snapshot transactions; the read mix
-			// is part of the run's contract, so fail loudly rather than
-			// silently substituting updates.
-			return fmt.Errorf("client: worker %d: read mix requires a wire v%d server (strict fallback active)",
-				id, wire.V4)
-		}
-		if !c.Pipelined() {
-			// v2-pinned server: strict fallback, one transaction at a time.
-			curTier = tier
-			begin := time.Now()
-			err := pc.DoTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
-			cnt.attempts.Add(1)
-			if err != nil {
-				cnt.failed.Add(1)
-				var remote *wire.RemoteError
-				if ctx.Err() != nil {
-					return nil
-				}
-				if errors.As(err, &remote) &&
-					(remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled) {
-					return nil
-				}
-				if errors.As(err, &remote) && remote.Code.Retryable() {
-					remaining.Add(1)
-					continue
-				}
-				return fmt.Errorf("client: worker %d: %w", id, err)
-			}
-			cnt.committed.Add(1)
-			tier.committed.Add(1)
-			tier.onTime.Add(1)
-			*lats = append(*lats, time.Since(begin))
-			continue
-		}
-		fut, err := c.SubmitTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
+		steps := pipelineSteps(tmpl, rng)
+		begin := time.Now()
+		fut, err := c.SubmitTxn(tmpl.Name, 0, steps)
 		if err != nil {
 			// The connection died with bursts in flight: resolve what we can,
 			// then report (drain's verdict wins — it sees the same error with
@@ -623,7 +497,7 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 			}
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		queue = append(queue, inflight{tmpl: tmpl, tier: tier, begin: time.Now(), fut: fut})
+		queue = append(queue, inflight{tmpl: tmpl, tier: tier, steps: steps, begin: begin, fut: fut})
 		if len(queue) >= depth {
 			t := queue[0]
 			queue = queue[1:]
@@ -993,8 +867,8 @@ func openWorker(ctx context.Context, cfg LoadConfig, tiers *tierStats,
 	id int64, jobs *openQueue, cnt *loadCounters, lats *[]time.Duration, series *seriesTracker) {
 	rng := rand.New(rand.NewSource(cfg.Seed + id))
 	var curTier *tierCounters
-	r := newLoadRunner(cfg, cnt, id, rng, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
-	defer r.close()
+	pc := newPipeClient(cfg, cnt, id, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
+	defer pc.Close()
 
 	for {
 		j, ok := jobs.pop()
@@ -1022,9 +896,9 @@ func openWorker(ctx context.Context, cfg LoadConfig, tiers *tierStats,
 		}
 		var err error
 		if j.ro {
-			err = r.doRO(j.items)
+			err = pc.DoReadTxn(j.items)
 		} else {
-			err = r.do(j.tmpl, budget)
+			err = pc.DoTxn(j.tmpl.Name, budget, pipelineSteps(j.tmpl, rng))
 		}
 		cnt.attempts.Add(1)
 		if err != nil {
@@ -1050,27 +924,8 @@ func openWorker(ctx context.Context, cfg LoadConfig, tiers *tierStats,
 	}
 }
 
-// runSteps replays a template's declared steps on the live transaction.
-func runSteps(tmpl wire.TemplateInfo, rng *rand.Rand) func(c *Conn) error {
-	return func(c *Conn) error {
-		for _, st := range tmpl.Steps {
-			switch st.Op {
-			case wire.OpRead:
-				if _, err := c.Read(st.Item); err != nil {
-					return err
-				}
-			case wire.OpWrite:
-				if err := c.Write(st.Item, rng.Int63n(1<<30)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
 // pipelineSteps renders a template's declared steps as wire messages for
-// one pipelined burst (compute steps have no wire op, as in runSteps).
+// one transaction burst (compute steps have no wire op).
 func pipelineSteps(tmpl wire.TemplateInfo, rng *rand.Rand) []wire.Message {
 	steps := make([]wire.Message, 0, len(tmpl.Steps))
 	for _, st := range tmpl.Steps {
@@ -1116,7 +971,7 @@ func roPick(rng *rand.Rand, items []uint32) []uint32 {
 	return out
 }
 
-// countCode tallies typed overload rejections the Client observes
+// countCode tallies typed overload rejections the PipeClient observes
 // (including retried ones). Called from worker goroutines via CodeHook.
 func countCode(cnt *loadCounters, tier *tierCounters, code wire.ErrorCode) {
 	switch code {

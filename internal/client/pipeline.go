@@ -11,24 +11,20 @@ import (
 	"pcpda/internal/wire"
 )
 
-// PipeConn is one pipelined (wire v3) connection: many requests in flight
-// at once, each carrying a client-chosen tag, with a demux goroutine
-// matching out-of-order replies back to their callers. Submit/Flush/RunTxn
-// are single-owner — one goroutine drives the connection — while the demux
-// goroutine runs internally; the two share only the pending table and the
-// sticky error, both lock-protected.
-//
-// When the server pins wire v2 (HelloOK.Proto < 3), the PipeConn degrades
-// transparently to strict request/reply over the same socket: RunTxn
-// executes its steps sequentially and no demux goroutine exists. Callers
-// get the protocol semantics they asked for either way, just without the
-// overlap.
+// PipeConn is one protocol connection: up to a window of requests in
+// flight at once, each carrying a client-chosen tag, with a demux
+// goroutine matching out-of-order replies back to their callers. A window
+// of 1 is strict request/reply: every submit past the first flushes and
+// waits for the previous reply, so a whole-transaction burst becomes one
+// frame per round trip. Submit/Flush/RunTxn are single-owner — one
+// goroutine drives the connection — while the demux goroutine runs
+// internally; the two share only the pending table and the sticky error,
+// both lock-protected.
 type PipeConn struct {
 	c       net.Conn      //pcpda:guardedby immutable
 	schema  *wire.HelloOK //pcpda:guardedby immutable
 	timeout time.Duration //pcpda:guardedby immutable
-	ver     uint8         //pcpda:guardedby immutable — negotiated tagged framing version: min(wire.Version, server Proto)
-	strict  *Conn         //pcpda:guardedby immutable — non-nil: v2 fallback, all fields below unused
+	window  int           //pcpda:guardedby immutable
 
 	// Owned by the submitting goroutine (never touched by demux).
 	wbuf      []byte        //pcpda:guardedby none — encoded-but-unflushed frames
@@ -67,11 +63,12 @@ type Pending struct {
 // errPipeClosed is the sticky error of an explicitly closed PipeConn.
 var errPipeClosed = errors.New("client: pipelined connection closed")
 
-// DialPipelined connects, performs the HELLO handshake (strict, untagged)
-// and switches to pipelined framing when the server advertises wire v3.
-// window bounds requests in flight per connection (default 32); opTimeout
-// bounds the handshake and, afterwards, the gap between consecutive
-// replies while requests are outstanding.
+// DialPipelined connects and performs the HELLO handshake as a tag-0
+// frame before starting the demux goroutine; an ERR in reply (a server at
+// its connection limit, say) comes back as a *wire.RemoteError. window
+// bounds requests in flight per connection (default 32; 1 = strict
+// request/reply); opTimeout bounds the handshake and, afterwards, the gap
+// between consecutive replies while requests are outstanding.
 func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn, error) {
 	if opTimeout <= 0 {
 		opTimeout = 10 * time.Second
@@ -83,45 +80,56 @@ func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn,
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	// The handshake is strict request/reply at v2 on every connection: the
-	// schema reply carries the Proto that says whether tags are welcome.
-	sc := &Conn{c: nc, timeout: opTimeout}
-	reply, err := sc.roundTrip(&wire.Hello{})
+	schema, err := handshake(nc, opTimeout)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
-	ok, isOK := reply.(*wire.HelloOK)
-	if !isOK {
-		_ = nc.Close()
-		return nil, fmt.Errorf("client: handshake reply %s", reply.Kind())
+	p := &PipeConn{c: nc, schema: schema, timeout: opTimeout, window: window,
+		nextTag: 1, // tag 0 went to HELLO
+		winCh:   make(chan struct{}, window),
+		pending: make(map[uint32]pendSlot),
+		done:    make(chan struct{}),
 	}
-	sc.schema = ok
-	p := &PipeConn{c: nc, schema: ok, timeout: opTimeout, ver: min(wire.Version, ok.Proto)}
-	if ok.Proto < wire.V3 {
-		p.strict = sc
-		return p, nil
-	}
-	p.winCh = make(chan struct{}, window)
-	p.pending = make(map[uint32]pendSlot)
-	p.done = make(chan struct{})
 	go p.demux()
 	return p, nil
+}
+
+// handshake sends HELLO and reads the schema reply under one deadline.
+func handshake(nc net.Conn, timeout time.Duration) (*wire.HelloOK, error) {
+	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, err
+	}
+	hello, err := wire.AppendTagged(nil, wire.V4, 0, &wire.Hello{})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := nc.Write(hello); err != nil {
+		return nil, fmt.Errorf("client: write HELLO: %w", err)
+	}
+	reply, _, _, err := wire.ReadAny(nc, nil)
+	if err != nil {
+		return nil, fmt.Errorf("client: read reply to HELLO: %w", err)
+	}
+	switch m := reply.(type) {
+	case *wire.HelloOK:
+		return m, nc.SetDeadline(time.Time{})
+	case *wire.ErrMsg:
+		return nil, &wire.RemoteError{Code: m.Code, Text: m.Text}
+	}
+	return nil, fmt.Errorf("client: handshake reply %s", reply.Kind())
 }
 
 // Schema returns the transaction-set schema from the handshake.
 func (p *PipeConn) Schema() *wire.HelloOK { return p.schema }
 
-// Pipelined reports whether the connection actually pipelines (false when
-// the server pinned wire v2 and the strict fallback is in effect).
-func (p *PipeConn) Pipelined() bool { return p.strict == nil }
+// Pipelined reports whether the connection keeps more than one request in
+// flight (false for a window-1, strict request/reply connection).
+func (p *PipeConn) Pipelined() bool { return p.window > 1 }
 
 // Broken reports whether the connection suffered a failure and must not
 // be reused.
 func (p *PipeConn) Broken() bool {
-	if p.strict != nil {
-		return p.strict.Broken()
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err != nil
@@ -132,9 +140,6 @@ func (p *PipeConn) Broken() bool {
 // auto-abort, and tagged BEGINs still parked in admission are abandoned
 // (the server's claim protocol discards their grants).
 func (p *PipeConn) Close() error {
-	if p.strict != nil {
-		return p.strict.Close()
-	}
 	p.fail(errPipeClosed)
 	return nil
 }
@@ -191,7 +196,7 @@ func (p *PipeConn) errNow() error {
 func (p *PipeConn) demux() {
 	var scratch []byte
 	for {
-		m, ver, tag, sc, err := wire.ReadAny(p.c, scratch)
+		m, tag, sc, err := wire.ReadAny(p.c, scratch)
 		if err != nil {
 			if p.idleTimeout(err) {
 				continue
@@ -200,21 +205,16 @@ func (p *PipeConn) demux() {
 			return
 		}
 		scratch = sc
-		if ver < wire.V3 {
-			// The only untagged frame a pipelined conversation can see is a
-			// terminal protocol error from the server.
-			if e, isErr := m.(*wire.ErrMsg); isErr {
-				p.fail(&wire.RemoteError{Code: e.Code, Text: e.Text})
-			} else {
-				p.fail(fmt.Errorf("client: untagged %s in a pipelined stream", m.Kind()))
-			}
-			return
-		}
 		p.mu.Lock()
 		s, ok := p.pending[tag]
 		if !ok {
 			p.mu.Unlock()
-			p.fail(fmt.Errorf("client: reply %s with unknown tag %d", m.Kind(), tag))
+			// A server ERR that answers no request (tag 0) is terminal.
+			if e, isErr := m.(*wire.ErrMsg); isErr {
+				p.fail(&wire.RemoteError{Code: e.Code, Text: e.Text})
+			} else {
+				p.fail(fmt.Errorf("client: reply %s with unknown tag %d", m.Kind(), tag))
+			}
 			return
 		}
 		delete(p.pending, tag)
@@ -302,7 +302,7 @@ func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
 	}
 	tag := p.nextTag
 	p.nextTag++
-	buf, err := wire.AppendTagged(p.wbuf, p.ver, tag, m)
+	buf, err := wire.AppendTagged(p.wbuf, wire.V4, tag, m)
 	if err != nil {
 		<-p.winCh
 		return err
@@ -326,9 +326,6 @@ func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
 // Submit encodes m into the unflushed batch and returns its Pending
 // handle.
 func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: Submit on a non-pipelined connection")
-	}
 	f := &Pending{p: p, want: wantKind(m), ch: make(chan wire.Message, 1)}
 	if err := p.submitSlot(m, pendSlot{want: f.want, single: f}); err != nil {
 		return nil, err
@@ -340,9 +337,6 @@ func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
 // deadline is armed before the write so a reply racing the flush can only
 // extend it, never leave outstanding work undeadlined.
 func (p *PipeConn) Flush() error {
-	if p.strict != nil {
-		return nil
-	}
 	if p.unflushed == 0 {
 		return nil
 	}
@@ -414,9 +408,6 @@ func wantKind(m wire.Message) wire.Kind {
 // Ping round-trips a nonce through the pipeline (one submit, one flush,
 // one wait).
 func (p *PipeConn) Ping(nonce uint64) error {
-	if p.strict != nil {
-		return p.strict.Ping(nonce)
-	}
 	f, err := p.Submit(&wire.Ping{Nonce: nonce})
 	if err != nil {
 		return err
@@ -458,24 +449,14 @@ type TxnFuture struct {
 // back-to-back overlap, on top of the one-write-per-transaction collapse,
 // is where the pipelined throughput multiple comes from.
 func (p *PipeConn) SubmitTxn(name string, budget time.Duration, steps []wire.Message) (*TxnFuture, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: SubmitTxn on a non-pipelined connection")
-	}
 	return p.submitBurst(beginMsg(name, budget), steps)
 }
 
 // SubmitReadTxn submits one declared read-only snapshot transaction as a
 // single pipelined burst — BEGIN with the read-only flag, one READ per
 // item, COMMIT — flushes it, and returns without waiting. The server
-// routes the transaction around admission entirely; requires a server
-// speaking wire v4.
+// routes the transaction around admission entirely.
 func (p *PipeConn) SubmitReadTxn(items []uint32) (*TxnFuture, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: SubmitReadTxn on a non-pipelined connection")
-	}
-	if p.ver < wire.V4 {
-		return nil, fmt.Errorf("client: read-only transactions require wire v4 (server speaks v%d)", p.schema.Proto)
-	}
 	steps := make([]wire.Message, len(items))
 	for i, it := range items {
 		steps[i] = &wire.Read{Item: it}
@@ -490,13 +471,21 @@ func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFu
 	if err := p.submitSlot(begin, pendSlot{want: wire.KindBeginOK, group: fut}); err != nil {
 		return nil, err
 	}
-	for _, m := range steps {
+	for i := 0; i <= len(steps); i++ {
+		failed, err := p.strictFailed(fut)
+		if err != nil {
+			return nil, err
+		}
+		if failed {
+			break
+		}
+		var m wire.Message = &wire.Commit{}
+		if i < len(steps) {
+			m = steps[i]
+		}
 		if err := p.submitSlot(m, pendSlot{want: wantKind(m), group: fut}); err != nil {
 			return nil, err
 		}
-	}
-	if err := p.submitSlot(&wire.Commit{}, pendSlot{want: wire.KindCommitOK, group: fut}); err != nil {
-		return nil, err
 	}
 	if err := p.Flush(); err != nil {
 		return nil, err
@@ -512,6 +501,31 @@ func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFu
 		fut.done <- fut.txErr
 	}
 	return fut, nil
+}
+
+// strictFailed reports whether a window-1 burst has already failed. It
+// flushes the frame in flight and waits for its reply, so a refused BEGIN
+// or a failed step ends the burst after that round trip, as the server
+// ends the transaction on every ERR; the frames a wider window would have
+// sent behind it would only draw CodeState fallout. With a wider window it
+// reports false at once.
+func (p *PipeConn) strictFailed(fut *TxnFuture) (bool, error) {
+	if p.window > 1 {
+		return false, nil
+	}
+	if err := p.Flush(); err != nil {
+		return false, err
+	}
+	// The demux folds the reply into fut before it frees the slot.
+	select {
+	case p.winCh <- struct{}{}:
+		<-p.winCh
+	case <-p.done:
+		return false, p.errNow()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return fut.txErr != nil, nil
 }
 
 // sealFuture marks the burst fully registered; returns false when every
@@ -542,9 +556,6 @@ func (f *TxnFuture) Wait() error {
 // for its outcome: one write, one batch of replies, no overlap with the
 // caller's next transaction.
 func (p *PipeConn) RunTxn(name string, budget time.Duration, steps []wire.Message) error {
-	if p.strict != nil {
-		return p.runStrict(name, budget, steps)
-	}
 	fut, err := p.SubmitTxn(name, budget, steps)
 	if err != nil {
 		return err
@@ -562,33 +573,9 @@ func (p *PipeConn) RunReadTxn(items []uint32) error {
 	return fut.Wait()
 }
 
-// runStrict is RunTxn over the v2 fallback: the same transaction, one
-// round trip per frame.
-func (p *PipeConn) runStrict(name string, budget time.Duration, steps []wire.Message) error {
-	if _, err := p.strict.BeginBudget(name, budget); err != nil {
-		return err
-	}
-	for _, m := range steps {
-		switch m := m.(type) {
-		case *wire.Read:
-			if _, err := p.strict.Read(m.Item); err != nil {
-				return err
-			}
-		case *wire.Write:
-			if err := p.strict.Write(m.Item, m.Value); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("client: RunTxn step %s unsupported", m.Kind())
-		}
-	}
-	return p.strict.Commit()
-}
-
-// PipeClient is the retrying wrapper over one PipeConn: the pipelined
-// analogue of Client, sharing its retryPolicy (budget, jitter, code hook).
-// One goroutine per PipeClient; a broken connection is redialed on the
-// next attempt.
+// PipeClient is the retrying wrapper over one PipeConn, under a
+// retryPolicy (budget, jitter, code hook). One goroutine per PipeClient; a
+// broken connection is redialed on the next attempt.
 type PipeClient struct {
 	retryPolicy
 	addr    string

@@ -23,7 +23,6 @@ type ServerCounters struct {
 	SlowClientKills    atomic.Int64 // sessions torn down because a reply flush hit the write deadline
 	SessionsOpened     atomic.Int64 // connections that completed the hello handshake
 	SessionsClosed     atomic.Int64 // sessions torn down (any reason)
-	PipelinedSessions  atomic.Int64 // sessions that sent at least one tagged (wire v3) frame
 	ResponseFlushes    atomic.Int64 // writer wakeups that wrote at least one response
 	ResponsesFlushed   atomic.Int64 // responses written (ResponsesFlushed/ResponseFlushes = mean flush batch)
 	StolenAdmissions   atomic.Int64 // admission requests popped from a sibling shard's queue by an idle dispatcher
@@ -48,7 +47,6 @@ type ServerSnapshot struct {
 	SlowClientKills    int64 `json:"slow_client_kills"`
 	SessionsOpened     int64 `json:"sessions_opened"`
 	SessionsClosed     int64 `json:"sessions_closed"`
-	PipelinedSessions  int64 `json:"pipelined_sessions"`
 	ResponseFlushes    int64 `json:"response_flushes"`
 	ResponsesFlushed   int64 `json:"responses_flushed"`
 	StolenAdmissions   int64 `json:"stolen_admissions"`
@@ -73,7 +71,6 @@ func (c *ServerCounters) Snapshot() ServerSnapshot {
 		SlowClientKills:    c.SlowClientKills.Load(),
 		SessionsOpened:     c.SessionsOpened.Load(),
 		SessionsClosed:     c.SessionsClosed.Load(),
-		PipelinedSessions:  c.PipelinedSessions.Load(),
 		ResponseFlushes:    c.ResponseFlushes.Load(),
 		ResponsesFlushed:   c.ResponsesFlushed.Load(),
 		StolenAdmissions:   c.StolenAdmissions.Load(),

@@ -37,77 +37,42 @@ func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 		protocols = sim.Protocols()
 	}
 
-	// One cell per (phase, sweep seed): compile once, simulate every
-	// protocol against the same compiled set (sim.RunBatch amortizes the
-	// per-set setup across the protocol fan).
+	// One cell per (phase, sweep seed), phase-major: compile once, simulate
+	// every protocol against the same compiled set (sim.RunBatch amortizes
+	// the per-set setup across the protocol fan).
 	type cell struct {
-		phase, sweep int
-		cp           *compiledPhase
-		results      []*sched.Result // one per protocol, in protocols order
-		err          error
+		phase   int
+		cp      *compiledPhase
+		results []*sched.Result // one per protocol, in protocols order
 	}
-	cells := make([]*cell, 0, len(spec.Phases)*spec.Seeds)
-	for pi := range spec.Phases {
-		for s := 0; s < spec.Seeds; s++ {
-			cells = append(cells, &cell{phase: pi, sweep: s})
-		}
-	}
-	runCell := func(c *cell) {
+	cells, err := sim.FanOut(len(spec.Phases)*spec.Seeds, opts.Workers, func(i int) (cell, error) {
+		c := cell{phase: i / spec.Seeds}
 		ph := &spec.Phases[c.phase]
-		cp, err := compilePhase(spec, ph, base, spec.phaseSeed(c.phase, c.sweep))
+		seed := spec.phaseSeed(c.phase, i%spec.Seeds)
+		cp, err := compilePhase(spec, ph, base, seed)
 		if err != nil {
-			c.err = err
-			return
+			return c, err
 		}
 		c.cp = cp
 		simOpts := sim.Options{
 			Horizon:        cp.horizon,
 			FirmDeadlines:  true,
 			StopOnDeadlock: true,
-			Seed:           spec.phaseSeed(c.phase, c.sweep),
+			Seed:           seed,
 		}
 		if f := ph.Faults; f != nil && f.AbortProb > 0 {
 			simOpts.FaultAbortProb = f.AbortProb
-			simOpts.FaultSeed = spec.phaseSeed(c.phase, c.sweep) ^ f.Seed
+			simOpts.FaultSeed = seed ^ f.Seed
 		}
 		runs := make([]sim.BatchRun, len(protocols))
-		for i, p := range protocols {
-			runs[i] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
+		for j, p := range protocols {
+			runs[j] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
 		}
-		c.results, c.err = sim.RunBatch(runs)
-	}
-
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for _, c := range cells {
-			runCell(c)
-		}
-	} else {
-		next := make(chan *cell)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for c := range next {
-					runCell(c)
-				}
-			}()
-		}
-		for _, c := range cells {
-			next <- c
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err // first by cell order: deterministic
-		}
+		c.results, err = sim.RunBatch(runs)
+		return c, err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate: rows are (phase, protocol); cells merge in sweep-seed
@@ -188,4 +153,3 @@ func accumulateSim(row *PhaseReport, tierAcc map[int32]*TierSLO, lats *[]float64
 		row.Series[bucket]++
 	}
 }
-

@@ -130,7 +130,7 @@ func names(rs []*admitReq) []string {
 // parked in BeginBatch on it (consuming the MaxAdmitting=1 slot), and one
 // more popped request blocks the dispatcher on the semaphore. Returns the
 // holder (abort it to unwind) and the two sacrificial conns.
-func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked, popped *client.Conn) {
+func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked, popped strictConn) {
 	t.Helper()
 	holder = mustDial(t, addr)
 	if _, err := holder.Begin("zonly"); err != nil {
@@ -164,7 +164,7 @@ func TestShedUnderBurst(t *testing.T) {
 	// Queue up two updaters (priority 2): past the high-water mark (1) but
 	// with queue room (depth 4) to spare.
 	type pending struct {
-		c   *client.Conn
+		c   strictConn
 		err chan error
 	}
 	var updaters []pending
@@ -273,7 +273,7 @@ func TestInfeasibleRejected(t *testing.T) {
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	for _, conn := range []*client.Conn{parked, popped, q, ok, holder, c} {
+	for _, conn := range []strictConn{parked, popped, q, ok, holder, c} {
 		_ = conn.Close()
 	}
 	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
@@ -281,7 +281,7 @@ func TestInfeasibleRejected(t *testing.T) {
 
 // pendingBegin fires a BEGIN (with a generous deadline budget) in the
 // background and returns the conn; the caller closes it to abandon.
-func pendingBegin(t *testing.T, addr, name string) *client.Conn {
+func pendingBegin(t *testing.T, addr, name string) strictConn {
 	t.Helper()
 	c := mustDial(t, addr)
 	go func() { _, _ = c.BeginBudget(name, 10*time.Second) }()
@@ -448,7 +448,7 @@ func TestSlowClientKill(t *testing.T) {
 	go sess.writeLoop()
 
 	start := time.Now()
-	if err := sess.replyTo(request{ver: wire.V2}, &wire.Pong{Nonce: 1}); err != nil {
+	if err := sess.replyTo(request{}, &wire.Pong{Nonce: 1}); err != nil {
 		t.Fatalf("replyTo must queue without error: %v", err)
 	}
 	// The flush into the stalled pipe hits the write deadline; the writer
@@ -465,7 +465,7 @@ func TestSlowClientKill(t *testing.T) {
 	}
 	// Replies attempted after the kill fail on the dead context instead of
 	// piling onto a queue nobody will flush.
-	if err := sess.replyTo(request{ver: wire.V2}, &wire.Pong{Nonce: 2}); err == nil {
+	if err := sess.replyTo(request{}, &wire.Pong{Nonce: 2}); err == nil {
 		t.Fatal("replyTo after a slow-client kill must fail")
 	}
 }

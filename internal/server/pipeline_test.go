@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,7 +34,7 @@ func TestPipelinedTxnBurst(t *testing.T) {
 	p := mustDialPipe(t, addr)
 	defer func() { _ = p.Close() }()
 	if !p.Pipelined() {
-		t.Fatal("server did not advertise wire v3")
+		t.Fatal("a window-32 connection must pipeline")
 	}
 	x, y := item(t, set, "x"), item(t, set, "y")
 
@@ -67,8 +69,8 @@ func TestPipelinedTxnBurst(t *testing.T) {
 	if err := p.RunTxn("reader", 0, []wire.Message{&wire.Read{Item: x}}); err != nil {
 		t.Fatalf("burst after failed bursts: %v", err)
 	}
-	if got := srv.Counters().PipelinedSessions.Load(); got != 1 {
-		t.Fatalf("PipelinedSessions = %d, want 1", got)
+	if got := srv.Counters().SessionsClosed.Load(); got != 0 {
+		t.Fatalf("SessionsClosed = %d, want 0: failed bursts must not end the session", got)
 	}
 	if mgr.ReadCommitted(0) != 41 {
 		t.Fatal("failed bursts must not have committed anything")
@@ -122,88 +124,53 @@ func TestPipelinedPingOutOfOrder(t *testing.T) {
 	waitFor(t, "inflight HWM", func() bool { return srv.Counters().InflightHWM.Load() >= 2 })
 }
 
-// TestPipelinedAgainstV2PinnedServer: compat in both directions against a
-// server pinned to wire v2. The pipelined client degrades to strict
-// transparently; a raw tagged frame is refused with a typed protocol
-// error before the connection closes.
-func TestPipelinedAgainstV2PinnedServer(t *testing.T) {
-	set := testSet(t)
-	mgr, _ := rtm.New(set)
-	addr, srv := startServer(t, mgr, Config{MaxWireVersion: wire.V2})
-	x := item(t, set, "x")
-
-	// Fallback path: DialPipelined sees Proto=2 and runs strict.
-	p := mustDialPipe(t, addr)
-	defer func() { _ = p.Close() }()
-	if p.Pipelined() {
-		t.Fatal("client claims pipelining against a v2-pinned server")
-	}
-	if err := p.RunTxn("updater", 0, []wire.Message{
-		&wire.Write{Item: x, Value: 5}, &wire.Write{Item: item(t, set, "y"), Value: 6},
-	}); err != nil {
-		t.Fatalf("strict-fallback txn: %v", err)
-	}
-	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
-		t.Fatalf("PipelinedSessions = %d on a v2-pinned server", got)
-	}
-
-	// Raw tagged frame: protocol error, untagged, then the session ends.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = nc.Close() }()
-	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	hello, err := wire.AppendFrame(nil, &wire.Hello{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wire.ReadFrame(nc, nil); err != nil {
-		t.Fatal(err)
-	}
-	tagged, err := wire.AppendTagged(nil, wire.V3, 1, &wire.Ping{Nonce: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(tagged); err != nil {
-		t.Fatal(err)
-	}
-	m, ver, _, _, err := wire.ReadAny(nc, nil)
-	if err != nil {
-		t.Fatalf("read protocol-error reply: %v", err)
-	}
-	e, isErr := m.(*wire.ErrMsg)
-	if !isErr || e.Code != wire.CodeProtocol || ver >= wire.V3 {
-		t.Fatalf("tagged frame to pinned server: %v (ver %d), want untagged CodeProtocol", m, ver)
-	}
-	waitFor(t, "session torn down", func() bool { return srv.Counters().SessionsClosed.Load() >= 1 })
-}
-
-// TestV2ClientAgainstPipelinedServer: an unmodified strict client against
-// a server with pipelining enabled — the untagged path must be untouched.
-func TestV2ClientAgainstPipelinedServer(t *testing.T) {
+// TestOldFramingRefusedLoudly: a client speaking a retired framing — the
+// untagged v1/v2 header or the tagged v3 one — gets one tag-0 V4
+// CodeProtocol ERR naming the version, then EOF; it is never left waiting
+// on a reply. The server keeps serving V4 clients afterwards.
+func TestOldFramingRefusedLoudly(t *testing.T) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
 	addr, srv := startServer(t, mgr, Config{})
-	c := mustDial(t, addr)
-	defer func() { _ = c.Close() }()
-	if got := c.Schema().Proto; got != wire.Version {
-		t.Fatalf("advertised proto = %d, want %d", got, wire.Version)
+
+	for _, hello := range [][]byte{
+		{2, byte(wire.KindHello), 0, 0, 0, 0},             // untagged v2
+		{1, byte(wire.KindHello), 0, 0, 0, 0},             // untagged v1
+		{3, byte(wire.KindHello), 0, 0, 0, 1, 0, 0, 0, 0}, // tagged v3
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		// ReadAny decodes only V4 frames, so a clean read is a V4 reply.
+		m, tag, _, err := wire.ReadAny(nc, nil)
+		if err != nil {
+			t.Fatalf("v%d HELLO: read refusal: %v", hello[0], err)
+		}
+		e, isErr := m.(*wire.ErrMsg)
+		if !isErr || e.Code != wire.CodeProtocol || tag != 0 {
+			t.Fatalf("v%d HELLO: reply %v (tag %d), want a tag-0 V4 CodeProtocol ERR", hello[0], m, tag)
+		}
+		if !strings.Contains(e.Text, "version") {
+			t.Fatalf("v%d HELLO: refusal %q does not name the version", hello[0], e.Text)
+		}
+		if _, _, _, err := wire.ReadAny(nc, nil); err != io.EOF {
+			t.Fatalf("v%d HELLO: after the refusal: %v, want EOF", hello[0], err)
+		}
+		_ = nc.Close()
 	}
-	if _, err := c.Begin("updater"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write(item(t, set, "x"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
-		t.Fatalf("strict session counted as pipelined: %d", got)
+	waitFor(t, "refused sessions torn down", func() bool { return srv.Counters().SessionsClosed.Load() >= 3 })
+
+	p := mustDialPipe(t, addr)
+	defer func() { _ = p.Close() }()
+	if err := p.RunTxn("updater", 0, []wire.Message{
+		&wire.Write{Item: item(t, set, "x"), Value: 5}, &wire.Write{Item: item(t, set, "y"), Value: 6},
+	}); err != nil {
+		t.Fatalf("V4 client after the refusals: %v", err)
 	}
 }
 
@@ -306,18 +273,18 @@ func TestShardStealing(t *testing.T) {
 	if len(srv.shards) != 2 {
 		t.Fatalf("shards = %d, want 2", len(srv.shards))
 	}
-	var conns []*client.Conn
+	var conns []strictConn
 	defer func() {
 		for _, c := range conns {
 			_ = c.Close()
 		}
 	}()
-	dial := func() *client.Conn {
+	dial := func() strictConn {
 		c := mustDial(t, addr)
 		conns = append(conns, c)
 		return c
 	}
-	evenDial := func() *client.Conn { // lands on shard 0 (round-robin)
+	evenDial := func() strictConn { // lands on shard 0 (round-robin)
 		c := dial()
 		dial() // burn the shard-1 slot
 		return c
@@ -330,7 +297,7 @@ func TestShardStealing(t *testing.T) {
 	}
 	// Shard 0, session 2: BEGIN parks in BeginBatch holding the single
 	// MaxAdmitting slot — dispatcher 0's next pop will block on it.
-	bg := func(c *client.Conn) {
+	bg := func(c strictConn) {
 		go func() { _, _ = c.Begin("zonly") }()
 	}
 	bg(evenDial())
@@ -414,9 +381,6 @@ func TestNemesisPipelined(t *testing.T) {
 	}
 	if st.Resets+st.Partitions == 0 {
 		t.Fatalf("proxy injected no faults across %d conns — the soak tested nothing", st.Conns)
-	}
-	if srv.Counters().PipelinedSessions.Load() == 0 {
-		t.Fatal("no session went pipelined under the proxy")
 	}
 	waitFor(t, "sessions idle", func() bool { return !srv.liveWork() })
 	if err := mgr.CheckInvariants(); err != nil {

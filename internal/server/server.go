@@ -80,12 +80,8 @@ type Config struct {
 	// reply queue between exec and writer. A pipelining client past the
 	// bound sees TCP backpressure (the reader stops reading). Default 32.
 	SessionInflight int
-	// MaxWireVersion pins the highest wire protocol version the server
-	// advertises and accepts (wire.V2 disables pipelining; tagged frames
-	// are then a protocol error). Default wire.Version.
-	MaxWireVersion uint8
 	// MaxConns, when positive, bounds concurrently attached sessions.
-	// Accepts past the limit are refused at the socket — one untagged
+	// Accepts past the limit are refused at the socket — one tag-0
 	// CodeOverload ERR, then close — before any session state exists, so
 	// a connection storm costs a write and a close, not three goroutines
 	// each. CodeOverload is retryable: clients back off and redial.
@@ -143,13 +139,6 @@ func (c *Config) fill() error {
 	}
 	if c.SessionInflight <= 0 {
 		c.SessionInflight = 32
-	}
-	if c.MaxWireVersion == 0 {
-		c.MaxWireVersion = wire.Version
-	}
-	if c.MaxWireVersion < wire.V2 || c.MaxWireVersion > wire.Version {
-		return fmt.Errorf("server: Config.MaxWireVersion %d outside %d..%d",
-			c.MaxWireVersion, wire.V2, wire.Version)
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
@@ -243,6 +232,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
+	if s.draining.Load() {
+		// Drain ran before ln was recorded, so it could not close it.
+		_ = ln.Close()
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -308,7 +301,7 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// refuseConn rejects an accept that crossed MaxConns: one untagged
+// refuseConn rejects an accept that crossed MaxConns: one tag-0
 // retryable ERR under a short write deadline, then close. Run off the
 // accept loop so a peer that never reads cannot stall further accepts.
 func (s *Server) refuseConn(conn net.Conn) {
@@ -316,7 +309,7 @@ func (s *Server) refuseConn(conn net.Conn) {
 	s.noteOverload()
 	go func() {
 		defer func() { _ = conn.Close() }()
-		frame, err := wire.AppendCompat(nil, wire.V2, &wire.ErrMsg{
+		frame, err := wire.AppendTagged(nil, wire.V4, 0, &wire.ErrMsg{
 			Code: wire.CodeOverload,
 			Text: fmt.Sprintf("connection limit %d reached; retry later", s.cfg.MaxConns),
 		})

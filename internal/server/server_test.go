@@ -69,13 +69,66 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func mustDial(t *testing.T, addr string) *client.Conn {
+// strictConn drives a window-1 (strict request/reply) PipeConn one
+// request at a time — Submit, Flush, Wait — behind the per-operation
+// calls the tests read as a conversation.
+type strictConn struct{ *client.PipeConn }
+
+func mustDial(t *testing.T, addr string) strictConn {
 	t.Helper()
-	c, err := client.Dial(addr, 5*time.Second)
+	p, err := client.DialPipelined(addr, 5*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return strictConn{p}
+}
+
+// do round-trips one request; an ERR reply comes back as a
+// *wire.RemoteError.
+func (c strictConn) do(m wire.Message) (wire.Message, error) {
+	f, err := c.Submit(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	return f.Wait()
+}
+
+func (c strictConn) Begin(name string) (uint64, error) { return c.BeginBudget(name, 0) }
+
+// BeginBudget sends BEGIN with a firm deadline budget in whole
+// milliseconds (0 = none).
+func (c strictConn) BeginBudget(name string, budget time.Duration) (uint64, error) {
+	reply, err := c.do(&wire.Begin{Name: name, Deadline: uint32(budget / time.Millisecond)})
+	if err != nil {
+		return 0, err
+	}
+	return reply.(*wire.BeginOK).ID, nil
+}
+
+func (c strictConn) Read(item uint32) (int64, error) {
+	reply, err := c.do(&wire.Read{Item: item})
+	if err != nil {
+		return 0, err
+	}
+	return reply.(*wire.ReadOK).Value, nil
+}
+
+func (c strictConn) Write(item uint32, v int64) error {
+	_, err := c.do(&wire.Write{Item: item, Value: v})
+	return err
+}
+
+func (c strictConn) Commit() error {
+	_, err := c.do(&wire.Commit{})
+	return err
+}
+
+func (c strictConn) Abort() error {
+	_, err := c.do(&wire.Abort{})
+	return err
 }
 
 func item(t *testing.T, set *txn.Set, name string) uint32 {
@@ -189,7 +242,7 @@ func TestOverloadBackpressure(t *testing.T) {
 
 	// Fill the queue, then overflow it. The queued request may be drained
 	// into a second gather round, so push until overload shows up.
-	var strangers []*client.Conn
+	var strangers []strictConn
 	var sawOverload bool
 	for i := 0; i < 10 && !sawOverload; i++ {
 		c := mustDial(t, addr)

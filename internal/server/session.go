@@ -63,13 +63,10 @@ func txDesc(h txnHandle) (id int64, name string) {
 	return 0, "?"
 }
 
-// request is one decoded frame plus the framing needed to address its
-// reply: the version the request arrived at (replies echo it, so a v1
-// client never sees a v2-only error code) and, for tagged v3 frames, the
-// client-chosen tag the reply must carry.
+// request is one decoded frame plus the client-chosen tag its reply must
+// carry.
 type request struct {
 	m   wire.Message
-	ver uint8
 	tag uint32
 }
 
@@ -110,8 +107,7 @@ type session struct {
 	writerDone chan struct{}
 	wbufs      net.Buffers //pcpda:guardedby none — flush scratch, owned by writeLoop
 
-	inflight  atomic.Int64 // requests read minus replies flushed
-	pipelined atomic.Bool  // session has sent at least one tagged frame
+	inflight atomic.Int64 // requests read minus replies flushed
 }
 
 // countReader adds every byte read from the connection to the shared
@@ -162,9 +158,9 @@ func (s *session) run() {
 // readLoop decodes frames off the connection and feeds run. Any read
 // failure — disconnect, idle timeout, malformed frame — cancels the
 // session context, which unparks run from whatever manager call it is
-// blocked in. Tagged PINGs are answered here directly, out of order: a
-// pipelined client's liveness probe must not wait behind a BEGIN parked
-// in admission.
+// blocked in. PINGs are answered here directly, out of order: a pipelined
+// client's liveness probe must not wait behind a BEGIN parked in
+// admission.
 func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
 	defer close(done)
 	defer s.cancel()
@@ -172,12 +168,18 @@ func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
 	var scratch []byte
 	var hwm int64
 	defer func() { metrics.MaxInt64(&s.srv.ctr.InflightHWM, hwm) }()
-	maxVer := s.srv.cfg.MaxWireVersion
 	for {
 		if err := s.conn.SetReadDeadline(timeNow().Add(s.srv.cfg.IdleTimeout)); err != nil {
 			return
 		}
-		m, ver, tag, sc, err := wire.ReadAny(cr, scratch)
+		m, tag, sc, err := wire.ReadAny(cr, scratch)
+		if errors.Is(err, wire.ErrVersion) {
+			// A frame in any framing but V4 — an old untagged client, say —
+			// is refused loudly: one tag-0 ERR, queued and delivered by the
+			// writer's final flush before cleanup closes the connection.
+			_ = s.replyTo(request{}, &wire.ErrMsg{Code: wire.CodeProtocol, Text: err.Error()})
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -185,28 +187,11 @@ func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
 		if cap(scratch) > maxScratch {
 			scratch = nil
 		}
-		req := request{m: m, ver: ver, tag: tag}
-		if ver > maxVer {
-			// A frame newer than this server is configured to speak is a
-			// protocol violation. The reply is framed at the newest version
-			// the server allows — untagged v2 on a pinned server, tagged at
-			// maxVer otherwise — queued, and delivered by the final writer
-			// flush before cleanup closes the connection.
-			rv := request{ver: maxVer, tag: tag}
-			if maxVer < wire.V3 {
-				rv = request{ver: wire.V2}
-			}
-			_ = s.replyTo(rv, &wire.ErrMsg{Code: wire.CodeProtocol,
-				Text: fmt.Sprintf("wire v%d not enabled on this server (max v%d)", ver, maxVer)})
-			return
-		}
-		if ver >= wire.V3 && !s.pipelined.Swap(true) {
-			s.srv.ctr.PipelinedSessions.Add(1)
-		}
+		req := request{m: m, tag: tag}
 		if v := s.inflight.Add(1); v > hwm {
 			hwm = v
 		}
-		if p, ok := m.(*wire.Ping); ok && ver >= wire.V3 {
+		if p, ok := m.(*wire.Ping); ok {
 			if s.replyTo(req, &wire.Pong{Nonce: p.Nonce}) != nil {
 				return
 			}
@@ -320,10 +305,8 @@ func (s *session) noteWriteError(err error) {
 	}
 }
 
-// replyTo frames m as the reply to req — tagged at the request's tag for
-// v3 requests, untagged at the request's version otherwise, with error
-// codes degraded to the version's code space — and queues it for the
-// writer. It blocks when SessionInflight replies are already queued
+// replyTo frames m as the reply to req, at the request's tag, and queues
+// it for the writer. It blocks when SessionInflight replies are already queued
 // (bounded outbound buffering; the writer drains under its deadline).
 func (s *session) replyTo(req request, m wire.Message) error {
 	// A dead session must refuse new replies deterministically — once the
@@ -338,18 +321,7 @@ func (s *session) replyTo(req request, m wire.Message) error {
 		return s.ctx.Err()
 	}
 	buf := wire.GetBuf()
-	var out []byte
-	var err error
-	if req.ver >= wire.V3 {
-		out, err = wire.AppendTagged((*buf)[:0], req.ver, req.tag, m)
-	} else {
-		if em, ok := m.(*wire.ErrMsg); ok {
-			if mapped := wire.CodeForVersion(em.Code, req.ver); mapped != em.Code {
-				m = &wire.ErrMsg{Code: mapped, Text: em.Text}
-			}
-		}
-		out, err = wire.AppendCompat((*buf)[:0], req.ver, m)
-	}
+	out, err := wire.AppendTagged((*buf)[:0], wire.V4, req.tag, m)
 	if err != nil {
 		// Encoding failures are server bugs (oversized schema); drop the
 		// session rather than desync the stream.
@@ -381,15 +353,15 @@ func (s *session) handshake(reqs <-chan request) error {
 				Text: fmt.Sprintf("expected HELLO, got %s", req.m.Kind())})
 			return errSessionEnd
 		}
-		return s.replyTo(req, schemaOf(s.srv.mgr.Set(), s.srv.cfg.MaxWireVersion))
+		return s.replyTo(req, schemaOf(s.srv.mgr.Set()))
 	}
 }
 
 // handle processes one request. The session-state contract kept here:
 // every reply to BEGIN is BEGIN_OK or ERR; every ERR reply to
 // READ/WRITE/COMMIT also ends the live transaction, so after any ERR the
-// client knows it holds nothing. Pipelined requests are executed strictly
-// in arrival order, so a client may speculate (send BEGIN+steps+COMMIT in
+// client knows it holds nothing. Requests are executed strictly in
+// arrival order, so a client may speculate (send BEGIN+steps+COMMIT in
 // one flush): if BEGIN fails, the trailing steps each draw the
 // "outside a transaction" CodeState reply — expected fallout, not drift.
 func (s *session) handle(req request) error {
@@ -554,10 +526,8 @@ func codeOf(err error) wire.ErrorCode {
 }
 
 // schemaOf renders the manager's transaction set as the HELLO_OK schema.
-// proto advertises the highest wire version the server will speak on this
-// connection; a client pipelines only when proto ≥ 3.
-func schemaOf(set *txn.Set, proto uint8) *wire.HelloOK {
-	h := &wire.HelloOK{Proto: proto, Set: set.Name}
+func schemaOf(set *txn.Set) *wire.HelloOK {
+	h := &wire.HelloOK{Proto: wire.Version, Set: set.Name}
 	for _, tmpl := range set.Templates {
 		ti := wire.TemplateInfo{Name: tmpl.Name, Priority: int32(tmpl.Priority)}
 		for _, st := range tmpl.Steps {

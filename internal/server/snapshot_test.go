@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -93,12 +94,28 @@ func TestReadOnlyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReadOnlyRefusedBelowV4 asserts the wire gate: a v3 Begin cannot
-// carry the read-only flag, so older clients are structurally unaffected,
-// and the encoder refuses rather than silently dropping the flag.
-func TestReadOnlyRefusedBelowV4(t *testing.T) {
-	if _, err := wire.AppendTagged(nil, wire.V3, 1, &wire.Begin{ReadOnly: true}); err == nil {
-		t.Fatal("v3 encode of a read-only BEGIN should refuse")
+// TestStrictLoadReadMix: a strict (window 1) closed loop runs a read mix
+// too — read-only snapshot transactions are ordinary V4 frames, one round
+// trip each, and never pass admission.
+func TestStrictLoadReadMix(t *testing.T) {
+	mgr, _ := rtm.New(testSet(t))
+	addr, srv := startServer(t, mgr, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := client.RunLoad(ctx, client.LoadConfig{
+		Addr: addr, Conns: 2, Txns: 300, Seed: 5, ReadFrac: 0.5,
+	})
+	if err != nil {
+		t.Fatalf("strict read-mix load: %v (report %+v)", err, rep)
+	}
+	if rep.Committed < 300 || rep.ROCommitted == 0 || rep.ROCommitted == rep.Committed {
+		t.Fatalf("committed %d, read-only %d: want 300 with both kinds", rep.Committed, rep.ROCommitted)
+	}
+	if got := srv.Counters().ROAccepted.Load(); got < rep.ROCommitted {
+		t.Fatalf("ROAccepted = %d < %d read-only commits", got, rep.ROCommitted)
+	}
+	if got := srv.Counters().Accepted.Load(); got < rep.Committed-rep.ROCommitted {
+		t.Fatalf("admission accepted %d < %d update commits", got, rep.Committed-rep.ROCommitted)
 	}
 }
 
@@ -119,13 +136,13 @@ func TestMaxConnsRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	m, _, err := wire.ReadFrame(nc, nil)
+	m, tag, _, err := wire.ReadAny(nc, nil)
 	if err != nil {
 		t.Fatalf("read refusal: %v", err)
 	}
 	e, isErr := m.(*wire.ErrMsg)
-	if !isErr || e.Code != wire.CodeOverload {
-		t.Fatalf("refusal = %v, want CodeOverload ErrMsg", m)
+	if !isErr || e.Code != wire.CodeOverload || tag != 0 {
+		t.Fatalf("refusal = %v (tag %d), want a tag-0 CodeOverload ErrMsg", m, tag)
 	}
 	if !e.Code.Retryable() {
 		t.Fatal("conn-limit refusal must be retryable")
@@ -138,7 +155,7 @@ func TestMaxConnsRefusal(t *testing.T) {
 	// Freeing the slot readmits.
 	_ = c1.Close()
 	waitFor(t, "slot freed", func() bool {
-		c2, err := client.Dial(addr, 2*time.Second)
+		c2, err := client.DialPipelined(addr, 2*time.Second, 1)
 		if err != nil {
 			return false
 		}

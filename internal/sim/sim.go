@@ -7,6 +7,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/ccp"
@@ -184,55 +185,61 @@ type Comparison struct {
 // and the results are merged in argument order, so the output is identical
 // to a serial run.
 func Compare(set *txn.Set, protocols []string, opts Options) ([]Comparison, error) {
-	workers := opts.Workers
-	if workers > len(protocols) {
-		workers = len(protocols)
-	}
-	if workers <= 1 {
-		var out []Comparison
-		for _, name := range protocols {
-			res, err := Run(set, name, opts)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s: %w", name, err)
-			}
-			out = append(out, Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)})
-		}
-		return out, nil
-	}
-
 	// Warm the set's lazily derived caches (read/write sets, ceilings are
 	// per-kernel) before sharing it across goroutines.
 	for _, t := range set.Templates {
 		t.AccessSet()
 	}
-	out := make([]Comparison, len(protocols))
-	errs := make([]error, len(protocols))
+	return FanOut(len(protocols), opts.Workers, func(i int) (Comparison, error) {
+		name := protocols[i]
+		res, err := Run(set, name, opts)
+		if err != nil {
+			return Comparison{}, fmt.Errorf("sim: %s: %w", name, err)
+		}
+		return Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)}, nil
+	})
+}
+
+// FanOut evaluates fn(i) for every i in [0, n) on up to workers goroutines
+// and returns the results in index order, or the first error by index.
+// Both are independent of scheduling, so callers whose fn is itself
+// deterministic produce byte-identical output at any worker count. With
+// workers <= 1 it runs serially in the caller and stops at the first
+// error.
+func FanOut[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := range out {
+			var err error
+			if out[i], err = fn(i); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	errs := make([]error, n)
 	next := make(chan int)
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := range next {
-				name := protocols[i]
-				res, err := Run(set, name, opts)
-				if err != nil {
-					errs[i] = fmt.Errorf("sim: %s: %w", name, err)
-					continue
-				}
-				out[i] = Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)}
+				out[i], errs[i] = fn(i)
 			}
 		}()
 	}
-	for i := range protocols {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err // first by argument order: deterministic
+			return nil, err
 		}
 	}
 	return out, nil

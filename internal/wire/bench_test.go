@@ -31,20 +31,6 @@ func benchFrames(b *testing.B) []byte {
 	return stream
 }
 
-func BenchmarkAppendFrame(b *testing.B) {
-	msg := &Write{Item: 4, Value: 9}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendFrame(buf[:0], msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAppendTagged(b *testing.B) {
 	msg := &Write{Item: 4, Value: 9}
 	buf := make([]byte, 0, 64)
@@ -96,7 +82,7 @@ func BenchmarkReadAnyStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, _, _, scratch, err = ReadAny(r, scratch)
+		_, _, scratch, err = ReadAny(r, scratch)
 		if err == io.EOF {
 			r.Reset(stream)
 			continue

@@ -1,60 +1,48 @@
-// Package wire is the versioned, length-prefixed binary protocol spoken
-// between pcpdad (the network transaction daemon, internal/server) and its
-// clients (internal/client). It is a pure codec: no networking, no manager
-// types — just frames in and out of byte slices, so both endpoints and the
-// fuzzer share one implementation that cannot drift.
+// Package wire is the length-prefixed binary protocol spoken between
+// pcpdad (the network transaction daemon, internal/server) and its clients
+// (internal/client). It is a pure codec: no networking, no manager types —
+// just frames in and out of byte slices, so both endpoints and the fuzzer
+// share one implementation that cannot drift.
 //
 // # Framing
 //
-// An untagged frame (versions 1 and 2) is:
-//
-//	+---------+---------+---------------+-----------------+
-//	| version |  kind   |  payload len  |     payload     |
-//	| u8=1|2  |   u8    |   u32 (BE)    |  len(payload)   |
-//	+---------+---------+---------------+-----------------+
-//
-// A tagged frame (versions 3 and 4, pipelining) inserts a request tag
-// between the kind and the payload length:
+// Every frame has one shape, a 10-byte header and a payload:
 //
 //	+---------+---------+-----------+---------------+-----------------+
 //	| version |  kind   |    tag    |  payload len  |     payload     |
-//	| u8=3|4  |   u8    |  u32 (BE) |   u32 (BE)    |  len(payload)   |
+//	|  u8=4   |   u8    |  u32 (BE) |   u32 (BE)    |  len(payload)   |
 //	+---------+---------+-----------+---------------+-----------------+
 //
-// The tag is an opaque client-chosen request identifier; the server echoes
-// it on the reply frame, which lets a connection keep many requests in
-// flight and receive responses out of order (in practice the server
-// executes a session's requests in arrival order, but replies — PONG in
-// particular — may overtake). Untagged and tagged frames may be mixed on
-// one connection; an untagged request always gets an untagged reply at the
-// request's version, preserving strict request/response for v1/v2 clients.
+// The version byte is always V4; a reader refuses any other value with
+// ErrVersion as soon as that first byte arrives, so a peer speaking an
+// older framing is turned away instead of being left waiting for the rest
+// of a header it will never send. The tag is an opaque client-chosen
+// request identifier; the server echoes it on the reply frame, which lets
+// a connection keep many requests in flight and receive responses out of
+// order (in practice the server executes a session's requests in arrival
+// order, but replies — PONG in particular — may overtake). A strict
+// request/reply client is simply one that keeps a single request in
+// flight. Replies the server sends without a request to answer (a refused
+// connection, a refused version) carry tag 0.
 //
 // Integers are big-endian. Strings are a u16 length followed by raw bytes.
 // The payload length is bounded by MaxPayload; a decoder rejects larger
 // frames before allocating anything, so a hostile peer cannot force memory
 // growth with a forged header. Decoding is exact: a payload with trailing
-// bytes is malformed, which makes encoding canonical per version
-// (decode∘encode at the decoded version is the identity on valid frames —
-// the property FuzzWireRoundTrip checks).
-//
-// # Versions
-//
-//	V1: base protocol (BEGIN has no deadline; codes through CodeInternal)
-//	V2: BEGIN carries a firm-deadline budget; CodeShed / CodeInfeasible
-//	V3: tagged frames (pipelining); payload encodings identical to V2
-//	V4: BEGIN carries a read-only flag (snapshot transactions); framing
-//	    identical to V3
+// bytes is malformed, which makes encoding canonical (decode∘encode is the
+// identity on valid frames — the property FuzzWireRoundTrip checks).
 //
 // # Conversation
 //
-// The client side of one session is request/reply (strictly sequential
-// when untagged, pipelined FIFO when tagged):
+// The client side of one session is pipelined request/reply, executed in
+// arrival order:
 //
-//	HELLO  → HELLO_OK (set name + template schema)    — optional, any time
+//	HELLO  → HELLO_OK (set name + template schema)    — first frame
 //	BEGIN  → BEGIN_OK | ERR                           — opens the session txn
-//	         (carries an optional firm deadline budget in milliseconds;
+//	         (carries an optional firm deadline budget in milliseconds —
 //	         the server refuses admission with CodeInfeasible when the
-//	         measured queue wait already exceeds it)
+//	         measured queue wait already exceeds it — and a read-only flag
+//	         for snapshot transactions)
 //	READ   → READ_OK(value) | ERR
 //	WRITE  → WRITE_OK | ERR
 //	COMMIT → COMMIT_OK | ERR                          — closes the session txn
@@ -73,19 +61,14 @@ import (
 	"sync"
 )
 
-// Protocol versions. The version byte of a frame header selects the header
-// shape (V3 frames carry a request tag) and the payload encoding (V1 BEGIN
-// has no deadline field, V1 error codes stop at CodeInternal).
-const (
-	V1 uint8 = 1
-	V2 uint8 = 2
-	V3 uint8 = 3
-	V4 uint8 = 4
+// V4 is the protocol version, the first byte of every frame. Versions 1–3
+// (an untagged framing and earlier payload encodings) are no longer
+// spoken; a frame carrying any of them is refused with ErrVersion.
+const V4 uint8 = 4
 
-	// Version is the highest protocol version this build speaks; servers
-	// advertise it (possibly pinned lower) in HelloOK.Proto.
-	Version = V4
-)
+// Version is the protocol version this build speaks; servers advertise it
+// in HelloOK.Proto.
+const Version = V4
 
 // MaxPayload bounds a frame's payload. Decoders reject larger declared
 // lengths before allocating; encoders refuse to produce them.
@@ -94,11 +77,8 @@ const MaxPayload = 1 << 20
 // MaxString bounds any encoded string (template/set names, error text).
 const MaxString = 4096
 
-// Header sizes: untagged (v1/v2) and tagged (v3/v4) frames.
-const (
-	headerLen       = 6  // version, kind, payload length
-	taggedHeaderLen = 10 // version, kind, tag, payload length
-)
+// headerLen is the frame header: version, kind, tag, payload length.
+const headerLen = 10
 
 // Kind identifies a message type. Requests are low values, replies have the
 // high bit set, errors are 0xFF.
@@ -179,10 +159,6 @@ const (
 	numCodes
 )
 
-// numCodesV1 is the error-code space of protocol version 1: CodeShed and
-// CodeInfeasible arrived with v2, so frames at v1 cannot carry them.
-const numCodesV1 = CodeShed
-
 var codeNames = [numCodes]string{
 	CodeProtocol: "protocol", CodeState: "state", CodeOverload: "overload",
 	CodeAborted: "aborted", CodeCancelled: "cancelled", CodeDeadline: "deadline",
@@ -205,17 +181,6 @@ func (c ErrorCode) Retryable() bool {
 		c == CodeShed || c == CodeInfeasible
 }
 
-// CodeForVersion maps c to the nearest code expressible at wire version
-// ver: a v1 peer has no CodeShed/CodeInfeasible, so both degrade to
-// CodeOverload (the correct client reaction — back off and retry — is the
-// same). Codes within the version's space pass through unchanged.
-func CodeForVersion(c ErrorCode, ver uint8) ErrorCode {
-	if ver <= V1 && c >= numCodesV1 {
-		return CodeOverload
-	}
-	return c
-}
-
 // RemoteError is the client-side error for an ERR reply: the typed code
 // plus the server's detail text.
 type RemoteError struct {
@@ -236,6 +201,16 @@ func IsCode(err error, code ErrorCode) bool {
 // ErrMalformed is wrapped by every decode failure. Decoders return it (never
 // panic) for any byte sequence that is not a valid frame.
 var ErrMalformed = errors.New("wire: malformed frame")
+
+// ErrVersion is wrapped when a frame's version byte is not V4. It wraps
+// ErrMalformed; a server answers it with one CodeProtocol ERR before
+// closing, so an old client fails loudly rather than hanging.
+var ErrVersion = fmt.Errorf("%w: unsupported protocol version", ErrMalformed)
+
+// versionError reports a foreign version byte.
+func versionError(ver uint8) error {
+	return fmt.Errorf("%w %d, want %d", ErrVersion, ver, V4)
+}
 
 // ErrTooLarge is wrapped when a header declares a payload beyond MaxPayload
 // (decode) or a message would encode beyond the limits (encode).
@@ -277,12 +252,10 @@ type TemplateInfo struct {
 
 // --- messages -----------------------------------------------------------------
 
-// Message is one protocol message, encodable as a frame payload. Payload
-// encodings may depend on the frame version (BEGIN's deadline and the
-// overload error codes arrived with v2), so both directions thread it.
+// Message is one protocol message, encodable as a frame payload.
 type Message interface {
 	Kind() Kind
-	encodePayload(dst []byte, ver uint8) ([]byte, error)
+	encodePayload(dst []byte) ([]byte, error)
 	decodePayload(d *dec)
 }
 
@@ -291,7 +264,7 @@ type Hello struct{}
 
 // HelloOK is the schema reply.
 type HelloOK struct {
-	Proto     uint8 // highest wire version the server speaks (≤ Version)
+	Proto     uint8 // wire version the server speaks (Version)
 	Set       string
 	Templates []TemplateInfo
 }
@@ -301,19 +274,17 @@ type HelloOK struct {
 // milliseconds: the transaction is worthless unless it commits within it,
 // so the server may refuse admission outright (CodeInfeasible) and its
 // stuck-transaction watchdog force-aborts the instance once the budget
-// plus a grace period has elapsed. The field exists from v2 on; a v1
-// frame cannot carry it.
+// plus a grace period has elapsed.
 //
 // ReadOnly, when set, declares the transaction a read-only snapshot
 // transaction: the server routes it around admission entirely (no queue
 // wait, no shed eligibility, no locks) and answers its reads from the
 // multiversion snapshot path. Writes on such a transaction fail with
-// CodeProtocol. The flag exists from v4 on; earlier frames cannot carry
-// it.
+// CodeProtocol.
 type Begin struct {
 	Name     string
 	Deadline uint32 // firm budget in milliseconds; 0 = none
-	ReadOnly bool   // snapshot transaction; requires wire v4
+	ReadOnly bool   // snapshot transaction
 }
 
 // BeginOK confirms admission; ID is the manager's job id (observability).
@@ -414,10 +385,10 @@ func newMessage(k Kind) Message {
 
 // --- payload encodings --------------------------------------------------------
 
-func (*Hello) encodePayload(dst []byte, _ uint8) ([]byte, error) { return dst, nil }
-func (*Hello) decodePayload(*dec)                                {}
+func (*Hello) encodePayload(dst []byte) ([]byte, error) { return dst, nil }
+func (*Hello) decodePayload(*dec)                       {}
 
-func (m *HelloOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *HelloOK) encodePayload(dst []byte) ([]byte, error) {
 	dst = append(dst, m.Proto)
 	var err error
 	if dst, err = appendStr(dst, m.Set); err != nil {
@@ -482,27 +453,12 @@ func (m *HelloOK) decodePayload(d *dec) {
 	}
 }
 
-func (m *Begin) encodePayload(dst []byte, ver uint8) ([]byte, error) {
+func (m *Begin) encodePayload(dst []byte) ([]byte, error) {
 	dst, err := appendStr(dst, m.Name)
 	if err != nil {
 		return nil, err
 	}
-	if ver <= V1 {
-		if m.Deadline != 0 {
-			return nil, fmt.Errorf("%w: BEGIN deadline requires wire v2", ErrMalformed)
-		}
-		if m.ReadOnly {
-			return nil, fmt.Errorf("%w: BEGIN read-only requires wire v4", ErrMalformed)
-		}
-		return dst, nil
-	}
 	dst = appendU32(dst, m.Deadline)
-	if ver < V4 {
-		if m.ReadOnly {
-			return nil, fmt.Errorf("%w: BEGIN read-only requires wire v4", ErrMalformed)
-		}
-		return dst, nil
-	}
 	ro := uint8(0)
 	if m.ReadOnly {
 		ro = 1
@@ -512,35 +468,31 @@ func (m *Begin) encodePayload(dst []byte, ver uint8) ([]byte, error) {
 
 func (m *Begin) decodePayload(d *dec) {
 	m.Name = d.str()
-	if d.ver >= V2 {
-		m.Deadline = d.u32()
-	}
-	if d.ver >= V4 {
-		switch d.u8() {
-		case 0:
-		case 1:
-			m.ReadOnly = true
-		default:
-			// Reject junk so encoding stays canonical per version.
-			d.failf("bad BEGIN read-only flag")
-		}
+	m.Deadline = d.u32()
+	switch d.u8() {
+	case 0:
+	case 1:
+		m.ReadOnly = true
+	default:
+		// Reject junk so encoding stays canonical.
+		d.failf("bad BEGIN read-only flag")
 	}
 }
 
-func (m *BeginOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *BeginOK) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.ID), nil
 }
 func (m *BeginOK) decodePayload(d *dec) { m.ID = d.u64() }
 
-func (m *Read) encodePayload(dst []byte, _ uint8) ([]byte, error) { return appendU32(dst, m.Item), nil }
-func (m *Read) decodePayload(d *dec)                              { m.Item = d.u32() }
+func (m *Read) encodePayload(dst []byte) ([]byte, error) { return appendU32(dst, m.Item), nil }
+func (m *Read) decodePayload(d *dec)                     { m.Item = d.u32() }
 
-func (m *ReadOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *ReadOK) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, uint64(m.Value)), nil
 }
 func (m *ReadOK) decodePayload(d *dec) { m.Value = int64(d.u64()) }
 
-func (m *Write) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Write) encodePayload(dst []byte) ([]byte, error) {
 	dst = appendU32(dst, m.Item)
 	return appendU64(dst, uint64(m.Value)), nil
 }
@@ -549,29 +501,29 @@ func (m *Write) decodePayload(d *dec) {
 	m.Value = int64(d.u64())
 }
 
-func (*WriteOK) encodePayload(dst []byte, _ uint8) ([]byte, error)  { return dst, nil }
-func (*WriteOK) decodePayload(*dec)                                 {}
-func (*Commit) encodePayload(dst []byte, _ uint8) ([]byte, error)   { return dst, nil }
-func (*Commit) decodePayload(*dec)                                  {}
-func (*CommitOK) encodePayload(dst []byte, _ uint8) ([]byte, error) { return dst, nil }
-func (*CommitOK) decodePayload(*dec)                                {}
-func (*Abort) encodePayload(dst []byte, _ uint8) ([]byte, error)    { return dst, nil }
-func (*Abort) decodePayload(*dec)                                   {}
-func (*AbortOK) encodePayload(dst []byte, _ uint8) ([]byte, error)  { return dst, nil }
-func (*AbortOK) decodePayload(*dec)                                 {}
+func (*WriteOK) encodePayload(dst []byte) ([]byte, error)  { return dst, nil }
+func (*WriteOK) decodePayload(*dec)                        {}
+func (*Commit) encodePayload(dst []byte) ([]byte, error)   { return dst, nil }
+func (*Commit) decodePayload(*dec)                         {}
+func (*CommitOK) encodePayload(dst []byte) ([]byte, error) { return dst, nil }
+func (*CommitOK) decodePayload(*dec)                       {}
+func (*Abort) encodePayload(dst []byte) ([]byte, error)    { return dst, nil }
+func (*Abort) decodePayload(*dec)                          {}
+func (*AbortOK) encodePayload(dst []byte) ([]byte, error)  { return dst, nil }
+func (*AbortOK) decodePayload(*dec)                        {}
 
-func (m *Ping) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Ping) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.Nonce), nil
 }
 func (m *Ping) decodePayload(d *dec) { m.Nonce = d.u64() }
-func (m *Pong) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Pong) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.Nonce), nil
 }
 func (m *Pong) decodePayload(d *dec) { m.Nonce = d.u64() }
 
-func (m *ErrMsg) encodePayload(dst []byte, ver uint8) ([]byte, error) {
-	if m.Code >= numCodes || (ver <= V1 && m.Code >= numCodesV1) {
-		return nil, fmt.Errorf("%w: error code %d not encodable at v%d", ErrMalformed, m.Code, ver)
+func (m *ErrMsg) encodePayload(dst []byte) ([]byte, error) {
+	if m.Code >= numCodes {
+		return nil, fmt.Errorf("%w: error code %d not encodable", ErrMalformed, m.Code)
 	}
 	dst = append(dst, uint8(m.Code))
 	return appendStr(dst, m.Text)
@@ -579,7 +531,7 @@ func (m *ErrMsg) encodePayload(dst []byte, ver uint8) ([]byte, error) {
 
 func (m *ErrMsg) decodePayload(d *dec) {
 	c := ErrorCode(d.u8())
-	if c >= numCodes || (d.ver <= V1 && c >= numCodesV1) {
+	if c >= numCodes {
 		d.failf("unknown error code %d", c)
 		return
 	}
@@ -589,118 +541,63 @@ func (m *ErrMsg) decodePayload(d *dec) {
 
 // --- framing ------------------------------------------------------------------
 
-// AppendFrame encodes m as one untagged v2 frame appended to dst — the
-// framing every pre-pipelining peer speaks.
-func AppendFrame(dst []byte, m Message) ([]byte, error) {
-	return appendFrameAt(dst, V2, 0, m)
-}
-
-// AppendCompat encodes m as one untagged frame at wire version ver (V1 or
-// V2). Servers use it to answer an untagged request at the version the
-// request arrived in.
-func AppendCompat(dst []byte, ver uint8, m Message) ([]byte, error) {
-	if ver != V1 && ver != V2 {
-		return nil, fmt.Errorf("%w: no untagged framing at version %d", ErrMalformed, ver)
-	}
-	return appendFrameAt(dst, ver, 0, m)
-}
-
-// AppendTagged encodes m as one tagged frame at wire version ver (V3 or
-// V4) carrying tag appended to dst. The receiver echoes the tag on the
-// matching reply, which it encodes at the request's version.
+// AppendTagged encodes m as one frame carrying tag appended to dst. ver
+// must be V4, the only version there is; the receiver echoes the tag on
+// the matching reply.
 func AppendTagged(dst []byte, ver uint8, tag uint32, m Message) ([]byte, error) {
-	if ver < V3 || ver > Version {
-		return nil, fmt.Errorf("%w: no tagged framing at version %d", ErrMalformed, ver)
+	if ver != V4 {
+		return nil, versionError(ver)
 	}
-	return appendFrameAt(dst, ver, tag, m)
-}
-
-func appendFrameAt(dst []byte, ver uint8, tag uint32, m Message) ([]byte, error) {
 	start := len(dst)
-	var hlen int
-	switch ver {
-	case V1, V2:
-		hlen = headerLen
-		dst = append(dst, ver, uint8(m.Kind()), 0, 0, 0, 0)
-	case V3, V4:
-		hlen = taggedHeaderLen
-		dst = append(dst, ver, uint8(m.Kind()),
-			byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag), 0, 0, 0, 0)
-	default:
-		return nil, fmt.Errorf("%w: cannot encode at version %d", ErrMalformed, ver)
-	}
-	body, err := m.encodePayload(dst, ver)
+	dst = append(dst, V4, uint8(m.Kind()),
+		byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag), 0, 0, 0, 0)
+	dst, err := m.encodePayload(dst)
 	if err != nil {
 		return nil, err
 	}
-	dst = body
-	plen := len(dst) - start - hlen
+	plen := len(dst) - start - headerLen
 	if plen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	putU32(dst[start+hlen-4:], uint32(plen))
+	putU32(dst[start+headerLen-4:], uint32(plen))
 	return dst, nil
 }
 
-// DecodeFrame decodes the first frame in b, requiring untagged (v1/v2)
-// framing — the strict request/response path. A tagged frame is an error
-// here; pipelined endpoints use DecodeAny. Returns the message and the
-// unconsumed remainder. All failures wrap ErrMalformed or ErrTooLarge; the
-// decoder never panics and never allocates more than the declared (bounded)
+// DecodeAny decodes the first frame in b, returning the message, the
+// frame's version (always V4 on success), its tag, and the unconsumed
+// remainder. All failures wrap ErrMalformed or ErrTooLarge; the decoder
+// never panics and never allocates more than the declared (bounded)
 // payload.
-func DecodeFrame(b []byte) (Message, []byte, error) {
-	m, ver, _, rest, err := DecodeAny(b)
-	if err != nil {
-		return nil, b, err
-	}
-	if ver >= V3 {
-		return nil, b, fmt.Errorf("%w: tagged frame on untagged decode path", ErrMalformed)
-	}
-	return m, rest, nil
-}
-
-// DecodeAny decodes the first frame in b at any protocol version,
-// returning the message, the frame's version, its tag (0 when untagged:
-// ver < V3), and the unconsumed remainder.
 func DecodeAny(b []byte) (m Message, ver uint8, tag uint32, rest []byte, err error) {
+	if len(b) > 0 && b[0] != V4 {
+		return nil, 0, 0, b, versionError(b[0])
+	}
 	if len(b) < headerLen {
 		return nil, 0, 0, b, fmt.Errorf("%w: short header (%d bytes)", ErrMalformed, len(b))
 	}
-	ver = b[0]
-	hlen := headerLen
-	switch ver {
-	case V1, V2:
-	case V3, V4:
-		hlen = taggedHeaderLen
-		if len(b) < hlen {
-			return nil, 0, 0, b, fmt.Errorf("%w: short tagged header (%d bytes)", ErrMalformed, len(b))
-		}
-		tag = u32(b[2:])
-	default:
-		return nil, 0, 0, b, fmt.Errorf("%w: version %d, want 1..%d", ErrMalformed, ver, Version)
-	}
 	kind := Kind(b[1])
-	plen := int(u32(b[hlen-4:]))
+	tag = u32(b[2:])
+	plen := int(u32(b[headerLen-4:]))
 	if plen > MaxPayload {
 		return nil, 0, 0, b, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	if len(b) < hlen+plen {
-		return nil, 0, 0, b, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrMalformed, len(b)-hlen, plen)
+	if n := len(b) - headerLen; n < plen {
+		return nil, 0, 0, b, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrMalformed, n, plen)
 	}
-	m, err = decodeBody(kind, ver, b[hlen:hlen+plen])
+	m, err = decodeBody(kind, b[headerLen:headerLen+plen])
 	if err != nil {
 		return nil, 0, 0, b, err
 	}
-	return m, ver, tag, b[hlen+plen:], nil
+	return m, V4, tag, b[headerLen+plen:], nil
 }
 
-// decodeBody decodes one payload at the given frame version.
-func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
+// decodeBody decodes one payload.
+func decodeBody(kind Kind, payload []byte) (Message, error) {
 	m := newMessage(kind)
 	if m == nil {
 		return nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrMalformed, uint8(kind))
 	}
-	d := &dec{b: payload, ver: ver}
+	d := &dec{b: payload}
 	m.decodePayload(d)
 	if d.err != nil {
 		return nil, d.err
@@ -711,91 +608,67 @@ func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
 	return m, nil
 }
 
-// ReadFrame reads exactly one untagged frame from r, using (and growing)
-// scratch as the read buffer; it returns the message and the buffer for
-// reuse. A clean EOF before any header byte is returned as io.EOF; every
-// other failure is either a transport error from r or wraps
-// ErrMalformed/ErrTooLarge. A tagged (v3) frame is an error on this path.
-func ReadFrame(r io.Reader, scratch []byte) (Message, []byte, error) {
-	m, ver, _, scratch, err := ReadAny(r, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	if ver >= V3 {
-		return nil, scratch, fmt.Errorf("%w: tagged frame on untagged read path", ErrMalformed)
-	}
-	return m, scratch, nil
-}
-
-// ReadAny reads exactly one frame at any protocol version from r, using
-// (and growing) scratch as the read buffer; it returns the message, the
-// frame's version and tag (0 when untagged), and the buffer for reuse. A
-// clean EOF before any header byte is returned as io.EOF.
-func ReadAny(r io.Reader, scratch []byte) (Message, uint8, uint32, []byte, error) {
-	if cap(scratch) < taggedHeaderLen {
+// ReadAny reads exactly one frame from r, using (and growing) scratch as
+// the read buffer; it returns the message, the frame's tag and the buffer
+// for reuse. A clean EOF before any header byte is
+// returned as io.EOF. A foreign version byte fails with ErrVersion as soon
+// as it is read, without waiting for the rest of the header.
+func ReadAny(r io.Reader, scratch []byte) (Message, uint32, []byte, error) {
+	if cap(scratch) < headerLen {
 		scratch = make([]byte, 0, 512)
 	}
 	hdr := scratch[:headerLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: header truncated", ErrMalformed)
-		}
-		return nil, 0, 0, scratch, err
+	if err := readHeader(r, hdr); err != nil {
+		return nil, 0, scratch, err
 	}
-	ver := hdr[0]
-	hlen := headerLen
-	var tag uint32
-	switch ver {
-	case V1, V2:
-	case V3, V4:
-		hlen = taggedHeaderLen
-		ext := scratch[headerLen:taggedHeaderLen]
-		if _, err := io.ReadFull(r, ext); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				err = fmt.Errorf("%w: tagged header truncated", ErrMalformed)
-			}
-			return nil, 0, 0, scratch, err
-		}
-		tag = u32(hdr[2:])
-	default:
-		return nil, 0, 0, scratch, fmt.Errorf("%w: version %d, want 1..%d", ErrMalformed, ver, Version)
-	}
-	plen := int(u32(scratch[hlen-4 : hlen]))
+	tag := u32(hdr[2:])
+	plen := int(u32(hdr[headerLen-4:]))
 	if plen > MaxPayload {
-		return nil, 0, 0, scratch, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
+		return nil, 0, scratch, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	need := hlen + plen
+	need := headerLen + plen
 	if cap(scratch) < need {
 		grown := make([]byte, need)
-		copy(grown, scratch[:hlen])
+		copy(grown, scratch[:headerLen])
 		scratch = grown[:0]
 	}
 	buf := scratch[:need]
-	if _, err := io.ReadFull(r, buf[hlen:]); err != nil {
+	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: payload truncated", ErrMalformed)
 		}
-		return nil, 0, 0, scratch, err
+		return nil, 0, scratch, err
 	}
 	kind := Kind(buf[1])
-	m, err := decodeBody(kind, ver, buf[hlen:need])
+	m, err := decodeBody(kind, buf[headerLen:need])
 	if err != nil {
-		return nil, 0, 0, scratch, err
+		return nil, 0, scratch, err
 	}
-	return m, ver, tag, scratch, nil
+	return m, tag, scratch, nil
 }
 
-// WriteFrame encodes m into scratch and writes the frame to w, returning
-// the (possibly grown) buffer for reuse. Untagged v2 framing.
-func WriteFrame(w io.Writer, scratch []byte, m Message) ([]byte, error) {
-	buf, err := AppendFrame(scratch[:0], m)
-	if err != nil {
-		return scratch, err
+// readHeader fills hdr from r like io.ReadFull, but checks the version
+// byte the moment it arrives: an older peer's header is shorter than
+// this one, so waiting for all of it could hang until the peer gives up.
+func readHeader(r io.Reader, hdr []byte) error {
+	n := 0
+	for n < len(hdr) {
+		k, err := r.Read(hdr[n:])
+		n += k
+		if n > 0 && hdr[0] != V4 {
+			return versionError(hdr[0])
+		}
+		if n == len(hdr) {
+			return nil
+		}
+		if err == io.EOF && n > 0 {
+			return fmt.Errorf("%w: header truncated", ErrMalformed)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if _, err := w.Write(buf); err != nil {
-		return buf, err
-	}
-	return buf, nil
+	return nil
 }
 
 // --- buffer pool --------------------------------------------------------------
@@ -864,7 +737,6 @@ func u32(b []byte) uint32 {
 type dec struct {
 	b   []byte
 	off int
-	ver uint8
 	err error
 }
 

@@ -18,11 +18,12 @@
 #   infeasible rejection. LOAD_NEMESIS=1 routes the sweep through the
 #   in-process fault-injection proxy.
 #
-# LOAD_PIPELINE=1 switches the driver to the tagged wire client. In the
-# sweep this runs paired strict and pipelined rows per multiplier and
-# records both saturation rates plus their ratio — the BENCH_7 artifact.
+# LOAD_PIPELINE=1 lets the driver keep LOAD_WINDOW requests in flight per
+# connection (strict request/reply otherwise). In the sweep this runs
+# paired strict and pipelined rows per multiplier and records both
+# saturation rates plus their ratio — the BENCH_7 artifact.
 #
-# LOAD_READMIX (requires LOAD_PIPELINE=1) declares that fraction of
+# LOAD_READMIX declares that fraction of
 # transactions read-only: they run on the lock-free multiversion snapshot
 # path. The sweep then adds a mixed row per multiplier plus the zero-
 # traffic proof (manager clock / lock table deltas over a read-only
@@ -56,12 +57,12 @@
 #   LOAD_DEADLINE firm deadline per txn in the sweep (default 150ms)
 #   LOAD_DURATION open-loop window per sweep step (default 4s)
 #   LOAD_NEMESIS  1 = route the sweep through the nemesis fault proxy
-#   LOAD_PIPELINE 1 = use the pipelined wire-v3 client (sweep: paired
-#                 strict + pipelined rows per multiplier)
+#   LOAD_PIPELINE 1 = keep LOAD_WINDOW requests in flight per connection
+#                 (sweep: paired strict + pipelined rows per multiplier)
 #   LOAD_WINDOW   pipelined in-flight window per connection (default 48)
 #   LOAD_READMIX  fraction of transactions declared read-only (default 0;
-#                 requires LOAD_PIPELINE=1; also starts pcpdad's stats
-#                 endpoint and records the zero-lock-traffic proof)
+#                 also starts pcpdad's stats endpoint and records the
+#                 zero-lock-traffic proof)
 #   LOAD_MAXCONNS pcpdad -max-conns session cap (default 0 = unlimited)
 #   LOAD_HTTP     pcpdad stats/health listen address
 #                 (default 127.0.0.1:9724 when LOAD_READMIX > 0)
@@ -92,10 +93,6 @@ pipeline=${LOAD_PIPELINE:-0}
 window=${LOAD_WINDOW:-48}
 readmix=${LOAD_READMIX:-0}
 maxconns=${LOAD_MAXCONNS:-0}
-if [[ "$readmix" != 0 && "$pipeline" != 1 ]]; then
-	echo "loadbench: LOAD_READMIX requires LOAD_PIPELINE=1 (read-only txns ride the tagged wire protocol)" >&2
-	exit 1
-fi
 # The read mix needs pcpdad's stats endpoint for the zero-traffic proof.
 if [[ "$readmix" != 0 ]]; then
 	http=${LOAD_HTTP:-127.0.0.1:9724}
